@@ -22,8 +22,8 @@ from .krawtchouk import (
     kraw_exact,
 )
 from .operators import (
-    NoiseParams,
     antipodal_check,
+    apply_radial_multipliers,
     noise_binomial,
     noise_multiplier,
     reflect,

@@ -92,12 +92,8 @@ def character(n: int, y: int) -> CubeFunction:
     """The character x -> (-1)^{x.y} as a physical-side function."""
     if not 0 <= y < (1 << n):
         raise ValueError(f"character index {y} outside cube of dimension {n}")
-    signs = np.ones(1 << n, dtype=np.complex128)
-    x = np.arange(1 << n)
-    for j in range(n):
-        if (y >> j) & 1:
-            signs[(x >> j) & 1 == 1] *= -1.0
-    return CubeFunction(n, signs)
+    parity = np.bitwise_count(np.arange(1 << n) & y) & 1
+    return CubeFunction(n, 1.0 - 2.0 * parity)
 
 
 def fwht(values: np.ndarray) -> np.ndarray:

@@ -8,14 +8,13 @@ identical (config, seed) pairs produce byte-identical reports.
 from __future__ import annotations
 
 import csv
-import datetime
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CubeFunction, character, fwht, popcounts
+from .core import SPECTRAL, CubeFunction, character, popcounts
 from .krawtchouk import KrawtchoukTable, build_table
 from .operators import spherical_mean_stack
 from .variation import vr_exact, vr_pointwise_values
@@ -35,8 +34,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if any(n < 1 for n in self.n_list):
             raise ValueError("all dimensions must be >= 1")
-        if any(r < 1 for r in self.r_list):
-            raise ValueError("all variation orders must be >= 1")
+        if not all(math.isfinite(r) and r >= 1 for r in self.r_list):
+            raise ValueError("all variation orders must be finite and >= 1")
         if self.q is not None and self.q not in (0, 1):
             raise ValueError("parity must be 0 or 1")
         if not 0.0 < self.alpha < 1.0:
@@ -60,9 +59,6 @@ class ExperimentReport:
     name: str
     parameters: dict
     records: list = field(default_factory=list)
-    created: str = field(
-        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
 
     def add(self, record: dict) -> dict:
         self.records.append(record)
@@ -76,7 +72,6 @@ class ExperimentReport:
             {
                 "name": self.name,
                 "parameters": self.parameters,
-                "created": self.created,
                 "records": self.records,
             },
             indent=2,
@@ -114,12 +109,14 @@ def variation_norm_ratio(
 ) -> float:
     """|| V_r(S_k f : k in radii) ||_2 / ||f||_2 via the full pipeline
     (materialize every spherical mean, then pointwise variation)."""
+    return _stack_ratio(spherical_mean_stack(f, list(radii), table), r, f)
+
+
+def _stack_ratio(stack: np.ndarray, r: float, f: CubeFunction) -> float:
+    """|| V_r of the rows of `stack` ||_2 / ||f||_2."""
     norm_f = f.norm(2)
     if norm_f == 0.0:
         raise ValueError("ratio undefined for the zero function")
-    stack = spherical_mean_stack(f, list(radii), table)
-    if np.abs(stack.imag).max() < 1e-13:
-        stack = np.ascontiguousarray(stack.real)   # halves the DP memory
     v = vr_pointwise_values(stack, r)
     return float(np.sqrt((v**2).sum())) / norm_f
 
@@ -250,13 +247,15 @@ def parity_character_scan(n: int, r: float, q: int, table=None) -> dict:
 
 
 def full_vs_parity_norm(n: int, r: float, f: CubeFunction, q: int | None = None) -> dict:
-    """Full-range and parity-restricted variation ratios for one function."""
-    table = build_table(n)
-    full = variation_norm_ratio(f, range(n + 1), r, table)
+    """Full-range and parity-restricted variation ratios for one function.
+
+    One full-range stack serves all three: every parity family's radii are
+    a subset of 0..n, so its means are rows of that stack.
+    """
+    stack = spherical_mean_stack(f, range(n + 1), build_table(n))
+    full = _stack_ratio(stack, r, f)
     parities = (0, 1) if q is None else (q,)
-    parity = {
-        str(qq): variation_norm_ratio(f, parity_radii(n, qq), r, table) for qq in parities
-    }
+    parity = {str(qq): _stack_ratio(stack[parity_radii(n, qq)], r, f) for qq in parities}
     return {
         "n": n,
         "r": r,
@@ -269,14 +268,13 @@ def full_vs_parity_norm(n: int, r: float, f: CubeFunction, q: int | None = None)
 
 def random_halfspectrum_function(n: int, rng) -> CubeFunction:
     """Unit-norm function with independent complex Gaussian coefficients on
-    the frequencies |y| <= n/2 and zero elsewhere."""
+    the frequencies |y| <= n/2 and exact zeros elsewhere, on the spectral side."""
     size = 1 << n
     pc = popcounts(n)
     spec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     spec[pc > n / 2] = 0.0
     spec /= np.sqrt((np.abs(spec) ** 2).sum())
-    phys = fwht(spec.copy()) * 2.0 ** (-n / 2)
-    return CubeFunction(n, phys)
+    return CubeFunction(n, spec, SPECTRAL)
 
 
 def proposition_halfspectrum_scan(n: int, r: float, trials: int, seed: int) -> dict:

@@ -41,10 +41,6 @@ class KrawtchoukTable:
         self.float = np.array([[float(v) for v in row] for row in self.exact])
         self.float.setflags(write=False)
 
-    def multipliers(self, k: int, pc: np.ndarray) -> np.ndarray:
-        """Spectral multiplier of the radius-k mean: kappa_k(|y|) per index y."""
-        return self.float[k][pc]
-
     def export_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

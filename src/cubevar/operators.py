@@ -1,20 +1,20 @@
 """Spherical means, the noise semigroup, and the cube symmetry operators.
 
-Each operator comes in two independent routes (physical-side averaging vs.
-spectral multipliers, binomial mixture vs. exponential multiplier) so the
-routes can be cross-checked against each other.
+Every spherical mean S_k and every noise operator N_t is a radial spectral
+multiplier, sum_w m(w) P_w f with P_w the projection onto Walsh level w, so all
+of them run through one engine, `apply_radial_multipliers`.  The physical-side
+averages of `spherical_mean_direct` (enumeration or convolution) are the
+independent route it is cross-checked against.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     PHYSICAL,
-    SPECTRAL,
     CubeFunction,
     convolve,
     fourier,
@@ -23,19 +23,6 @@ from .core import (
     popcounts,
 )
 from .krawtchouk import KrawtchoukTable, build_table
-
-
-@dataclass
-class NoiseParams:
-    """Noise level t >= 0 and the mixing weight u_t = (1 - e^{-t}) / 2."""
-
-    t: float
-    u_t: float = field(init=False)
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("noise parameter t must be nonnegative")
-        self.u_t = (1.0 - math.exp(-self.t)) / 2.0
 
 
 def sphere_indicator(n: int, k: int) -> CubeFunction:
@@ -73,76 +60,90 @@ def spherical_mean_direct(f: CubeFunction, k: int, method: str = "auto") -> Cube
     raise ValueError(f"unknown method {method!r}")
 
 
-def spherical_mean_multiplier(
-    f: CubeFunction, k: int, table: KrawtchoukTable | None = None
-) -> CubeFunction:
-    """S_k f via the spectral multiplier kappa^(n)_k(|y|)."""
+def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
+    """Row i of the result is sum_w rows[i, w] P_w f on the physical side.
+
+    `rows` is a real (m, n+1) matrix of multipliers indexed by Walsh level and
+    f may be on either side; the result is (m, 2^n), float64 when f is real.
+    When f has fewer non-zero levels than there are rows, each non-zero level
+    projection is inverse-transformed once and the rows are combined from
+    them; otherwise each row takes one inverse transform.
+    """
     n = f.n
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != n + 1:
+        raise ValueError(f"multiplier matrix of shape {rows.shape} does not match n={n}")
+    spec = (f.values if f.values.imag.any() else f.values.real).copy()
+    if f.side == PHYSICAL:
+        fwht(spec)
+        rows = rows * 2.0 ** -n          # both transforms' 2^{-n/2}, folded in
+    else:
+        rows = rows * 2.0 ** (-n / 2)
+    pc = popcounts(n)
+    levels = np.flatnonzero(np.bincount(pc, weights=spec != 0, minlength=n + 1))
+    if len(levels) < len(rows):
+        proj = np.zeros((len(levels), spec.size), dtype=spec.dtype)
+        for p, w in zip(proj, levels):
+            at = pc == w
+            p[at] = spec[at]
+            fwht(p)
+        return rows[:, levels] @ proj
+    out = np.empty((len(rows), spec.size), dtype=spec.dtype)
+    for o, row in zip(out, rows):
+        np.multiply(spec, row[pc], out=o)
+        fwht(o)
+    return out
+
+
+def _table(n: int, table: KrawtchoukTable | None) -> KrawtchoukTable:
     if table is None:
-        table = build_table(n)
+        return build_table(n)
     if table.n != n:
         raise ValueError(f"table for n={table.n} does not match function n={n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"radius {k} outside 0..{n}")
-    F = fourier(f)
-    F.values *= table.multipliers(k, popcounts(n))
-    return inverse_fourier(F)
+    return table
 
 
 def spherical_mean_stack(
     f: CubeFunction, radii, table: KrawtchoukTable | None = None
 ) -> np.ndarray:
-    """Matrix of S_k f for k in `radii` (one row per radius), via one forward
-    transform and one inverse transform per radius."""
+    """Matrix of S_k f for k in `radii`, one row per radius; the multiplier
+    of S_k is the Krawtchouk row kappa^(n)_k(w)."""
     n = f.n
-    if table is None:
-        table = build_table(n)
-    pc = popcounts(n)
-    F = fourier(f).values
-    scale = 2.0 ** (-n / 2)
-    rows = np.empty((len(radii), 1 << n), dtype=np.complex128)
-    for i, k in enumerate(radii):
-        rows[i] = fwht(F * table.multipliers(k, pc))
-        rows[i] *= scale
-    return rows
+    radii = list(radii)
+    for k in radii:
+        if not (isinstance(k, (int, np.integer)) and 0 <= k <= n):
+            raise ValueError(f"radius {k!r} outside 0..{n}")
+    return apply_radial_multipliers(f, _table(n, table).float[radii])
+
+
+def spherical_mean_multiplier(
+    f: CubeFunction, k: int, table: KrawtchoukTable | None = None
+) -> CubeFunction:
+    """S_k f via the spectral multiplier kappa^(n)_k(|y|)."""
+    return CubeFunction(f.n, spherical_mean_stack(f, [k], table)[0])
 
 
 def noise_multiplier(f: CubeFunction, t: float) -> CubeFunction:
     """N_t f via the spectral multiplier e^{-t|y|}."""
     if t < 0:
         raise ValueError("noise parameter t must be nonnegative")
-    F = fourier(f)
-    F.values *= np.exp(-t * popcounts(f.n))
-    return inverse_fourier(F)
+    row = np.exp(-t * np.arange(f.n + 1))
+    return CubeFunction(f.n, apply_radial_multipliers(f, row[None])[0])
 
 
 def noise_binomial(
     f: CubeFunction, t: float, table: KrawtchoukTable | None = None
 ) -> CubeFunction:
-    """N_t f as the binomial mixture sum_k C(n,k) u^k (1-u)^{n-k} S_k f.
-
-    Weights are formed in log-space so they survive n near the dimension cap.
-    """
-    params = NoiseParams(t)
+    """N_t f as the binomial mixture sum_k C(n,k) u^k (1-u)^{n-k} S_k f with
+    u = (1 - e^{-t}) / 2, applied as the one multiplier row that mixes the
+    Krawtchouk rows kappa_k with those weights."""
+    if t < 0:
+        raise ValueError("noise parameter t must be nonnegative")
     n = f.n
-    u = params.u_t
-    if u == 0.0:
-        return f.copy()
-    if table is None:
-        table = build_table(n)
-    log_u = math.log(u)
-    log_1mu = math.log1p(-u)
-    acc = np.zeros_like(f.values)
-    for k in range(n + 1):
-        log_w = (
-            math.lgamma(n + 1)
-            - math.lgamma(k + 1)
-            - math.lgamma(n - k + 1)
-            + k * log_u
-            + (n - k) * log_1mu
-        )
-        acc += math.exp(log_w) * spherical_mean_multiplier(f, k, table).values
-    return CubeFunction(n, acc, PHYSICAL)
+    u = (1.0 - math.exp(-t)) / 2.0
+    weights = [math.comb(n, k) * u**k * (1.0 - u) ** (n - k) for k in range(n + 1)]
+    row = np.asarray(weights) @ _table(n, table).float
+    return CubeFunction(n, apply_radial_multipliers(f, row[None])[0])
 
 
 def reflect(f: CubeFunction) -> CubeFunction:
@@ -191,11 +192,6 @@ def semigroup_axioms_check(n: int, t_grid, trials: int = 20, seed: int = 0) -> d
 def antipodal_check(f: CubeFunction, table: KrawtchoukTable | None = None) -> dict:
     """Worst violation of S_k f(x XOR 1_n) = S_{n-k} f(x) over all k and x."""
     n = f.n
-    if table is None:
-        table = build_table(n)
-    means = [spherical_mean_multiplier(f, k, table) for k in range(n + 1)]
-    worst = 0.0
-    for k in range(n + 1):
-        diff = np.abs(means[k].values[::-1] - means[n - k].values).max()
-        worst = max(worst, float(diff))
+    means = spherical_mean_stack(f, range(n + 1), table)
+    worst = float(np.abs(means[:, ::-1] - means[::-1]).max())
     return {"n": n, "max_violation": worst}

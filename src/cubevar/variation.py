@@ -27,6 +27,11 @@ class VariationResult:
         return json.dumps({"r": self.r, "value": self.value, "chain": list(self.chain)})
 
 
+def _check_order(r: float) -> None:
+    if not (math.isfinite(r) and r >= 1):
+        raise ValueError(f"variation order r must be finite and >= 1, got {r}")
+
+
 def vr_exact(values, r: float, labels=None) -> VariationResult:
     """Exact r-variation of a finite sequence plus one maximizing chain.
 
@@ -36,8 +41,7 @@ def vr_exact(values, r: float, labels=None) -> VariationResult:
     a = np.asarray(values, dtype=np.complex128)
     if a.size == 0:
         raise ValueError("variation of an empty sequence is undefined")
-    if r < 1:
-        raise ValueError("variation order r must be >= 1")
+    _check_order(r)
     m = a.size
     down = [0.0] * m          # best sum of |jump|^r over chains starting at j
     nxt = [None] * m
@@ -65,8 +69,7 @@ def vr_bruteforce(values, r: float) -> float:
         raise ValueError("variation of an empty sequence is undefined")
     if a.size > 16:
         raise ValueError("brute force capped at 16 entries")
-    if r < 1:
-        raise ValueError("variation order r must be >= 1")
+    _check_order(r)
     best = 0.0
     idx = range(a.size)
     for j in range(2, a.size + 1):
@@ -82,8 +85,7 @@ def vr_pointwise_values(stack: np.ndarray, r: float) -> np.ndarray:
     """Vectorized r-variation across axis 0 of a (sequence, points) matrix."""
     if stack.ndim != 2 or stack.shape[0] == 0:
         raise ValueError("expected a nonempty (sequence, points) matrix")
-    if r < 1:
-        raise ValueError("variation order r must be >= 1")
+    _check_order(r)
     m = stack.shape[0]
     best = np.zeros(stack.shape, dtype=np.float64)
     for j in range(1, m):

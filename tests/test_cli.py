@@ -101,10 +101,19 @@ def test_bench_small(tmp_path, capsys):
 def test_csv_determinism(tmp_path):
     for sub in ("a", "b"):
         main(["counterexample", "--kind", "truncated", "--n", "8,10", "--r", "1,2",
-              "--seed", "5", "--out", str(tmp_path / sub), "--format", "csv"])
-    a = (tmp_path / "a" / "counterexample-truncated.csv").read_bytes()
-    b = (tmp_path / "b" / "counterexample-truncated.csv").read_bytes()
-    assert a == b
+              "--seed", "5", "--out", str(tmp_path / sub), "--format", "both"])
+    for name in ("counterexample-truncated.csv", "counterexample-truncated.json"):
+        a = (tmp_path / "a" / name).read_bytes()
+        b = (tmp_path / "b" / name).read_bytes()
+        assert a == b
+
+
+@pytest.mark.parametrize("command,r", [("counterexample", "nan"), ("parity-scan", "1e400")])
+def test_non_finite_r_exits_2(tmp_path, capsys, command, r):
+    code = main([command, "--n", "6", "--r", r, "--out", str(tmp_path)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_threads_flag_keeps_order(tmp_path):

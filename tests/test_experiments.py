@@ -20,7 +20,9 @@ from cubevar import (
     phi_scan,
     proposition_halfspectrum_scan,
     psi_scan,
+    spherical_mean_stack,
     variation_norm_ratio,
+    vr_pointwise_values,
 )
 from cubevar.experiments import dyadic_radii, parity_radii, random_halfspectrum_function
 
@@ -28,8 +30,9 @@ from cubevar.experiments import dyadic_radii, parity_radii, random_halfspectrum_
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n_list=[0])
-    with pytest.raises(ValueError):
-        ExperimentConfig(r_list=[0.5])
+    for r in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ExperimentConfig(r_list=[2.0, r])
     with pytest.raises(ValueError):
         ExperimentConfig(alpha=1.5)
     with pytest.raises(ValueError):
@@ -142,6 +145,19 @@ def test_full_vs_parity_norm():
         assert v <= rec["witness"]["full"] + 1e-12
 
 
+def test_full_vs_parity_matches_separate_parity_stacks():
+    n, r = 9, 3.0
+    rng = np.random.default_rng(2)
+    g = CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
+    rec = full_vs_parity_norm(n, r, g)
+    for q in (0, 1):
+        stack = spherical_mean_stack(g, parity_radii(n, q))
+        v = vr_pointwise_values(stack, r)
+        expected = float(np.sqrt((v**2).sum())) / g.norm(2)
+        assert rec["witness"]["parity"][str(q)] == pytest.approx(expected, rel=1e-12)
+    assert full_vs_parity_norm(n, r, g, q=1)["witness"]["parity"] == {"1": rec["witness"]["parity"]["1"]}
+
+
 def test_full_vs_parity_rejects_zero():
     with pytest.raises(ValueError):
         variation_norm_ratio(CubeFunction(3, np.zeros(8)), range(4), 2.0)
@@ -152,10 +168,10 @@ def test_halfspectrum_support_and_norm():
     n = 8
     f = random_halfspectrum_function(n, rng)
     assert f.norm(2) == pytest.approx(1.0, abs=1e-12)
-    from cubevar import fourier, popcounts
+    from cubevar import popcounts
 
-    spec = fourier(f)
-    assert np.abs(spec.values[popcounts(n) > n / 2]).max() < 1e-12
+    assert f.side == "spectral"
+    assert not f.values[popcounts(n) > n / 2].any()
 
 
 def test_halfspectrum_scan_consistency():

@@ -5,11 +5,13 @@ import pytest
 
 from cubevar import (
     CubeFunction,
-    NoiseParams,
     antipodal_check,
+    apply_radial_multipliers,
     build_table,
     character,
     delta,
+    fourier,
+    inverse_fourier,
     noise_binomial,
     noise_multiplier,
     popcounts,
@@ -19,6 +21,7 @@ from cubevar import (
     spherical_mean_multiplier,
     spherical_mean_stack,
 )
+from cubevar.experiments import random_halfspectrum_function
 
 
 def rand_fn(n, rng):
@@ -26,12 +29,16 @@ def rand_fn(n, rng):
     return CubeFunction(n, rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
-def test_noise_params():
-    assert NoiseParams(0.0).u_t == 0.0
-    assert NoiseParams(math.log(2)).u_t == pytest.approx(0.25)
-    assert 0 <= NoiseParams(10.0).u_t < 0.5
+def test_noise_binomial_parameter():
+    n = 4
+    f = character(n, 0b0011)
+    # t = 0 mixes only S_0; t = log 2 gives u = 1/4, so chi_y picks up
+    # sum_k C(n,k) u^k (1-u)^{n-k} kappa_k(2) = (1 - 2u)^2 = 1/4
+    assert np.abs(noise_binomial(f, 0.0).values - f.values).max() < 1e-12
+    out = noise_binomial(f, math.log(2))
+    assert np.abs(out.values - 0.25 * f.values).max() < 1e-12
     with pytest.raises(ValueError):
-        NoiseParams(-0.1)
+        noise_binomial(f, -0.1)
 
 
 def test_spherical_mean_radius_zero_is_identity():
@@ -98,6 +105,52 @@ def test_spherical_mean_errors():
         spherical_mean_direct(f, 4)
     with pytest.raises(ValueError):
         spherical_mean_multiplier(f, 1, build_table(4))
+    with pytest.raises(ValueError, match="radius -1"):
+        spherical_mean_stack(f, [-1])
+    with pytest.raises(ValueError, match="radius 4"):
+        spherical_mean_stack(f, [0, 4])
+
+
+def enum_stack(f, radii):
+    phys = f if f.side == "physical" else inverse_fourier(f)
+    return np.array([spherical_mean_direct(phys, k, method="enum").values for k in radii])
+
+
+@pytest.mark.parametrize("case", ["character", "halfspectrum", "complex", "single_row"])
+def test_engine_matches_enum(case):
+    rng = np.random.default_rng(10)
+    n = 8
+    table = build_table(n)
+    radii = list(range(n + 1))
+    if case == "character":          # one level: projection route
+        f = character(n, 0b10110100)
+    elif case == "halfspectrum":     # levels 0..4 of 9 rows: projection route
+        f = random_halfspectrum_function(n, rng)
+        assert f.side == "spectral"
+    else:                            # every level present: per-row route
+        f = rand_fn(n, rng)
+    if case == "single_row":
+        radii = [3]
+    rows = apply_radial_multipliers(f, table.float[radii])
+    assert np.abs(rows - enum_stack(f, radii)).max() < 1e-10
+
+
+def test_engine_real_input_stays_real_and_sides_agree():
+    rng = np.random.default_rng(11)
+    n = 7
+    table = build_table(n)
+    for f in (character(n, 0b1010011), CubeFunction(n, rng.standard_normal(1 << n))):
+        phys = apply_radial_multipliers(f, table.float)
+        assert phys.dtype == np.float64
+        spec = apply_radial_multipliers(fourier(f), table.float)
+        assert spec.dtype == np.float64
+        assert np.abs(phys - spec).max() < 1e-12
+    g = rand_fn(n, rng)
+    assert np.abs(
+        apply_radial_multipliers(g, table.float) - apply_radial_multipliers(fourier(g), table.float)
+    ).max() < 1e-12
+    with pytest.raises(ValueError):
+        apply_radial_multipliers(g, table.float[:, :n])
 
 
 def test_noise_multiplier_basics():

@@ -43,8 +43,9 @@ def test_vr_single_element_and_errors():
     assert vr_exact([5.0], 2.0).value == 0.0
     with pytest.raises(ValueError):
         vr_exact([], 2.0)
-    with pytest.raises(ValueError):
-        vr_exact([1.0, 2.0], 0.5)
+    for r in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            vr_exact([1.0, 2.0], r)
     with pytest.raises(ValueError):
         vr_bruteforce(list(range(20)), 1.0)
 
@@ -178,5 +179,6 @@ def test_vr_pointwise_errors():
         vr_pointwise([], 2.0)
     with pytest.raises(ValueError):
         vr_pointwise([character(3, 1), character(4, 1)], 2.0)
-    with pytest.raises(ValueError):
-        vr_pointwise_values(np.zeros((2, 4)), 0.5)
+    for r in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            vr_pointwise_values(np.zeros((2, 4)), r)
