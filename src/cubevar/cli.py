@@ -29,6 +29,7 @@ from .operators import (
     semigroup_axioms_check,
     spherical_mean_direct,
     spherical_mean_multiplier,
+    spherical_mean_stack,
 )
 from .variation import (
     check_chain_lemma,
@@ -45,6 +46,7 @@ from .experiments import (
     phi_scan,
     proposition_halfspectrum_scan,
     psi_scan,
+    variation_norm_ratio,
 )
 
 CONFIG_KEYS = ("n_list", "r_list", "q", "alpha", "seed", "trials")
@@ -278,8 +280,6 @@ def cmd_bench(args) -> int:
         f = CubeFunction(n, rng.standard_normal(size) + 1j * rng.standard_normal(size))
         table = build_table(n)
         t0 = time.perf_counter()
-        from .operators import spherical_mean_stack
-
         stack = spherical_mean_stack(f, range(n + 1), table)
         t_sweep = time.perf_counter() - t0
         report.add({"n": n, "metric": "spherical_sweep_seconds", "value": t_sweep})
@@ -287,6 +287,11 @@ def cmd_bench(args) -> int:
         vr_pointwise_values(stack, 2.0)
         t_vr = time.perf_counter() - t0
         report.add({"n": n, "r": 2.0, "metric": "vr_pointwise_seconds", "value": t_vr})
+        del stack
+        t0 = time.perf_counter()
+        variation_norm_ratio(f, range(n + 1), 2.0, table)
+        t_ratio = time.perf_counter() - t0
+        report.add({"n": n, "r": 2.0, "metric": "variation_ratio_seconds", "value": t_ratio})
     _emit(report, args.out, args.format)
     return 0
 

@@ -20,6 +20,12 @@ SPECTRAL = "spectral"
 #: Practical dimension cap: 2^26 complex doubles is ~1 GiB per buffer.
 MAX_DIM = 26
 
+#: Points per column block when a family of functions is streamed: the
+#: operator engine yields its (rows, 2^n) result this many points at a time
+#: and the pointwise V_r DP works through its input in blocks this wide, so
+#: neither holds more than (rows x BLOCK) values per buffer.
+BLOCK = 1 << 14
+
 
 def length(x: int) -> int:
     """Length |x| of a point, i.e. the number of set coordinate bits."""

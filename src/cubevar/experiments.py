@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import SPECTRAL, CubeFunction, character, popcounts
 from .krawtchouk import KrawtchoukTable, build_table
-from .operators import spherical_mean_stack
+from .operators import spherical_mean_blocks
 from .variation import vr_exact, vr_pointwise_values
 
 CSV_HEADER = ["experiment", "n", "r", "q", "metric", "value", "witness"]
@@ -107,17 +107,26 @@ class ExperimentReport:
 def variation_norm_ratio(
     f: CubeFunction, radii, r: float, table: KrawtchoukTable | None = None
 ) -> float:
-    """|| V_r(S_k f : k in radii) ||_2 / ||f||_2 via the full pipeline
-    (materialize every spherical mean, then pointwise variation)."""
-    return _stack_ratio(spherical_mean_stack(f, list(radii), table), r, f)
+    """|| V_r(S_k f : k in radii) ||_2 / ||f||_2 via the full pipeline: each
+    block of spherical means goes through the pointwise DP as it is made, so
+    neither the (|radii|, 2^n) stack nor a DP table over every point is held."""
+    norm_f = _nonzero_norm(f)
+    v = np.empty(1 << f.n)
+    for cols, block in spherical_mean_blocks(f, radii, table):
+        v[cols] = vr_pointwise_values(block, r)
+    return _l2_ratio(v, norm_f)
 
 
-def _stack_ratio(stack: np.ndarray, r: float, f: CubeFunction) -> float:
-    """|| V_r of the rows of `stack` ||_2 / ||f||_2."""
+def _nonzero_norm(f: CubeFunction) -> float:
     norm_f = f.norm(2)
     if norm_f == 0.0:
         raise ValueError("ratio undefined for the zero function")
-    v = vr_pointwise_values(stack, r)
+    return norm_f
+
+
+def _l2_ratio(v: np.ndarray, norm_f: float) -> float:
+    """||v||_2 / norm_f, reduced once over all 2^n points so the summation
+    order (and so every output bit) does not depend on the block width."""
     return float(np.sqrt((v**2).sum())) / norm_f
 
 
@@ -249,13 +258,18 @@ def parity_character_scan(n: int, r: float, q: int, table=None) -> dict:
 def full_vs_parity_norm(n: int, r: float, f: CubeFunction, q: int | None = None) -> dict:
     """Full-range and parity-restricted variation ratios for one function.
 
-    One full-range stack serves all three: every parity family's radii are
-    a subset of 0..n, so its means are rows of that stack.
+    One stream of full-range blocks serves all three: every parity family's
+    radii are a subset of 0..n, so its means are rows of each block.
     """
-    stack = spherical_mean_stack(f, range(n + 1), build_table(n))
-    full = _stack_ratio(stack, r, f)
+    norm_f = _nonzero_norm(f)
     parities = (0, 1) if q is None else (q,)
-    parity = {str(qq): _stack_ratio(stack[parity_radii(n, qq)], r, f) for qq in parities}
+    families = {"full": slice(None), **{str(qq): parity_radii(n, qq) for qq in parities}}
+    v = {key: np.empty(1 << n) for key in families}
+    for cols, block in spherical_mean_blocks(f, range(n + 1), build_table(n)):
+        for key, rows in families.items():
+            v[key][cols] = vr_pointwise_values(block[rows], r)
+    full = _l2_ratio(v.pop("full"), norm_f)
+    parity = {key: _l2_ratio(vq, norm_f) for key, vq in v.items()}
     return {
         "n": n,
         "r": r,

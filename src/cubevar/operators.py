@@ -2,9 +2,10 @@
 
 Every spherical mean S_k and every noise operator N_t is a radial spectral
 multiplier, sum_w m(w) P_w f with P_w the projection onto Walsh level w, so all
-of them run through one engine, `apply_radial_multipliers`.  The physical-side
-averages of `spherical_mean_direct` (enumeration or convolution) are the
-independent route it is cross-checked against.
+of them run through one engine, `apply_radial_multipliers`, which can also
+stream its result a block of points at a time (`radial_multiplier_blocks`).
+The physical-side averages of `spherical_mean_direct` (enumeration or
+convolution) are the independent route it is cross-checked against.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from . import core
 from .core import (
     PHYSICAL,
     CubeFunction,
@@ -60,14 +62,15 @@ def spherical_mean_direct(f: CubeFunction, k: int, method: str = "auto") -> Cube
     raise ValueError(f"unknown method {method!r}")
 
 
-def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
-    """Row i of the result is sum_w rows[i, w] P_w f on the physical side.
+def _radial_terms(f: CubeFunction, rows):
+    """The spectrum of f, split the way `rows` are cheapest to apply.
 
     `rows` is a real (m, n+1) matrix of multipliers indexed by Walsh level and
-    f may be on either side; the result is (m, 2^n), float64 when f is real.
-    When f has fewer non-zero levels than there are rows, each non-zero level
-    projection is inverse-transformed once and the rows are combined from
-    them; otherwise each row takes one inverse transform.
+    f may be on either side.  When f has fewer non-zero levels than there are
+    rows, each non-zero level projection is inverse-transformed once and the
+    result is `coef @ terms`, with coef the (m, levels) columns of the rows;
+    otherwise each row takes one inverse transform, coef is None and terms is
+    the (m, 2^n) result itself.  Float64 throughout when f is real.
     """
     n = f.n
     rows = np.asarray(rows, dtype=np.float64)
@@ -87,12 +90,37 @@ def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
             at = pc == w
             p[at] = spec[at]
             fwht(p)
-        return rows[:, levels] @ proj
+        return rows[:, levels], proj
     out = np.empty((len(rows), spec.size), dtype=spec.dtype)
     for o, row in zip(out, rows):
         np.multiply(spec, row[pc], out=o)
         fwht(o)
-    return out
+    return None, out
+
+
+def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
+    """Row i of the result is sum_w rows[i, w] P_w f on the physical side.
+
+    `rows` is a real (m, n+1) matrix of multipliers indexed by Walsh level and
+    f may be on either side; the result is (m, 2^n), float64 when f is real.
+    """
+    coef, terms = _radial_terms(f, rows)
+    return terms if coef is None else coef @ terms
+
+
+def radial_multiplier_blocks(f: CubeFunction, rows):
+    """`apply_radial_multipliers(f, rows)` as (columns, block) pairs: each
+    block holds the rows at `core.BLOCK` consecutive points.
+
+    When f has fewer non-zero levels than there are rows (every character,
+    every spectral-side half-spectrum draw), each block is formed from the
+    level projections as it is asked for, so the (m, 2^n) result is never
+    held; otherwise the blocks are views of it.
+    """
+    coef, terms = _radial_terms(f, rows)
+    for start in range(0, terms.shape[1], core.BLOCK):
+        block = terms[:, start:start + core.BLOCK]
+        yield slice(start, start + block.shape[1]), block if coef is None else coef @ block
 
 
 def _table(n: int, table: KrawtchoukTable | None) -> KrawtchoukTable:
@@ -103,17 +131,26 @@ def _table(n: int, table: KrawtchoukTable | None) -> KrawtchoukTable:
     return table
 
 
-def spherical_mean_stack(
-    f: CubeFunction, radii, table: KrawtchoukTable | None = None
-) -> np.ndarray:
-    """Matrix of S_k f for k in `radii`, one row per radius; the multiplier
-    of S_k is the Krawtchouk row kappa^(n)_k(w)."""
-    n = f.n
+def _kraw_rows(n: int, radii, table: KrawtchoukTable | None) -> np.ndarray:
+    """The multipliers of S_k for k in `radii`: Krawtchouk rows kappa^(n)_k(w)."""
     radii = list(radii)
     for k in radii:
         if not (isinstance(k, (int, np.integer)) and 0 <= k <= n):
             raise ValueError(f"radius {k!r} outside 0..{n}")
-    return apply_radial_multipliers(f, _table(n, table).float[radii])
+    return _table(n, table).float[radii]
+
+
+def spherical_mean_stack(
+    f: CubeFunction, radii, table: KrawtchoukTable | None = None
+) -> np.ndarray:
+    """Matrix of S_k f for k in `radii`, one row per radius."""
+    return apply_radial_multipliers(f, _kraw_rows(f.n, radii, table))
+
+
+def spherical_mean_blocks(f: CubeFunction, radii, table: KrawtchoukTable | None = None):
+    """`spherical_mean_stack(f, radii, table)` streamed as the (columns,
+    block) pairs of `radial_multiplier_blocks`."""
+    return radial_multiplier_blocks(f, _kraw_rows(f.n, radii, table))
 
 
 def spherical_mean_multiplier(
@@ -123,10 +160,14 @@ def spherical_mean_multiplier(
     return CubeFunction(f.n, spherical_mean_stack(f, [k], table)[0])
 
 
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"noise parameter t must be finite and >= 0, got {t}")
+
+
 def noise_multiplier(f: CubeFunction, t: float) -> CubeFunction:
     """N_t f via the spectral multiplier e^{-t|y|}."""
-    if t < 0:
-        raise ValueError("noise parameter t must be nonnegative")
+    _check_time(t)
     row = np.exp(-t * np.arange(f.n + 1))
     return CubeFunction(f.n, apply_radial_multipliers(f, row[None])[0])
 
@@ -137,8 +178,7 @@ def noise_binomial(
     """N_t f as the binomial mixture sum_k C(n,k) u^k (1-u)^{n-k} S_k f with
     u = (1 - e^{-t}) / 2, applied as the one multiplier row that mixes the
     Krawtchouk rows kappa_k with those weights."""
-    if t < 0:
-        raise ValueError("noise parameter t must be nonnegative")
+    _check_time(t)
     n = f.n
     u = (1.0 - math.exp(-t)) / 2.0
     weights = [math.comb(n, k) * u**k * (1.0 - u) ** (n - k) for k in range(n + 1)]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import PHYSICAL, CubeFunction
 
 
@@ -32,17 +33,38 @@ def _check_order(r: float) -> None:
         raise ValueError(f"variation order r must be finite and >= 1, got {r}")
 
 
+def _unit_shift(top):
+    """Exponent s with top * 2^s < 1/2 (top >= 0, elementwise).
+
+    Scaling a sequence whose largest |value| is `top` by 2^s brings every
+    |jump| below 1, so no |jump|^r overflows and large or tiny sequences
+    (1e200, 1e-120) keep their r-th powers in range.  V_r is 1-homogeneous
+    and a power of two scales exactly, so V_r of the scaled sequence times
+    2^-s is V_r of the sequence up to the rounding of the r-th powers and
+    root (none for r = 1, nor for r = 2 where the root is `np.sqrt`).
+    s is capped at 1023 so that 2^s is a finite double.
+    """
+    if isinstance(top, float):           # one sequence: skip numpy's scalar overhead
+        return min(-(math.frexp(top)[1] + 1), 1023)
+    return np.minimum(-(np.frexp(top)[1] + 1), 1023)
+
+
 def vr_exact(values, r: float, labels=None) -> VariationResult:
     """Exact r-variation of a finite sequence plus one maximizing chain.
 
     The chain reported is the lexicographically smallest maximizer (suffix DP
-    with strict-improvement updates, scanned left to right).
+    with strict-improvement updates, scanned left to right).  The sequence is
+    scaled by a power of two first (`_unit_shift`).
     """
     a = np.asarray(values, dtype=np.complex128)
     if a.size == 0:
         raise ValueError("variation of an empty sequence is undefined")
     _check_order(r)
-    m = a.size
+    a = a.tolist()            # Python complex: scalar arithmetic without numpy overhead
+    shift = _unit_shift(max(map(abs, a)))
+    scale = math.ldexp(1.0, shift)
+    a = [v * scale for v in a]
+    m = len(a)
     down = [0.0] * m          # best sum of |jump|^r over chains starting at j
     nxt = [None] * m
     for j in range(m - 2, -1, -1):
@@ -59,7 +81,7 @@ def vr_exact(values, r: float, labels=None) -> VariationResult:
         chain.append(nxt[chain[-1]])
     if labels is not None:
         chain = [labels[j] for j in chain]
-    return VariationResult(r, total ** (1.0 / r), chain)
+    return VariationResult(r, math.ldexp(total ** (1.0 / r), -shift), chain)
 
 
 def vr_bruteforce(values, r: float) -> float:
@@ -82,19 +104,63 @@ def vr_bruteforce(values, r: float) -> float:
 
 
 def vr_pointwise_values(stack: np.ndarray, r: float) -> np.ndarray:
-    """Vectorized r-variation across axis 0 of a (sequence, points) matrix."""
+    """Vectorized r-variation across axis 0 of a (sequence, points) matrix.
+
+    The DP runs over column blocks of `core.BLOCK` points in buffers
+    allocated once per call.  Each point's column is scaled by its own power
+    of two first (`_unit_shift`), so the result does not depend on the block
+    width.
+    """
+    stack = np.asarray(stack)
     if stack.ndim != 2 or stack.shape[0] == 0:
         raise ValueError("expected a nonempty (sequence, points) matrix")
     _check_order(r)
-    m = stack.shape[0]
-    best = np.zeros(stack.shape, dtype=np.float64)
-    for j in range(1, m):
-        acc = best[j]
+    m, size = stack.shape
+    width = max(1, min(size, core.BLOCK))
+    scaled = np.empty((m, width), dtype=np.result_type(stack, np.float64))
+    diff = np.empty(width, dtype=scaled.dtype) if np.iscomplexobj(scaled) else None
+    best = np.empty((m, width))
+    cand = np.empty(width)
+    out = np.empty(size)
+    for start in range(0, size, width):
+        block = stack[:, start:start + width]
+        w = block.shape[1]
+        _vr_block(block, r, scaled[:, :w], None if diff is None else diff[:w],
+                  best[:, :w], cand[:w], out[start:start + w])
+    return out
+
+
+def _vr_block(block, r, scaled, diff, best, cand, out) -> None:
+    """V_r of each column of `block` into `out`; the other arguments are
+    scratch buffers of the block's width (`diff` only for complex input)."""
+    np.abs(block[0], out=out)            # out holds max |value| until the end
+    for row in block[1:]:
+        np.maximum(out, np.abs(row, out=cand), out=out)
+    shift = _unit_shift(out)
+    np.multiply(block, np.ldexp(1.0, shift), out=scaled)
+    best[0] = 0.0
+    for j in range(1, len(block)):
         for i in range(j):
-            cand = np.abs(stack[i] - stack[j]) ** r
-            cand += best[i]
-            np.maximum(acc, cand, out=acc)
-    return best.max(axis=0) ** (1.0 / r)
+            # best[j] = max over i < j of |s_i - s_j|^r + best[i]; every
+            # term is >= 0, so the i = 0 term starts the maximum
+            jump = best[j] if i == 0 else cand
+            if diff is None:
+                np.subtract(scaled[i], scaled[j], out=jump)
+                if r != 2:
+                    np.abs(jump, out=jump)
+            else:
+                np.abs(np.subtract(scaled[i], scaled[j], out=diff), out=jump)
+            if r == 2:
+                np.multiply(jump, jump, out=jump)
+            elif r != 1:
+                np.power(jump, r, out=jump)
+            if i:
+                cand += best[i]
+                np.maximum(best[j], cand, out=best[j])
+    np.max(best, axis=0, out=out)
+    if r != 1:
+        out **= 1.0 / r
+    np.ldexp(out, -shift, out=out)
 
 
 def vr_pointwise(functions, r: float) -> CubeFunction:

@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cubevar import core
 from cubevar import (
     CubeFunction,
     ExperimentConfig,
@@ -156,6 +158,57 @@ def test_full_vs_parity_matches_separate_parity_stacks():
         expected = float(np.sqrt((v**2).sum())) / g.norm(2)
         assert rec["witness"]["parity"][str(q)] == pytest.approx(expected, rel=1e-12)
     assert full_vs_parity_norm(n, r, g, q=1)["witness"]["parity"] == {"1": rec["witness"]["parity"]["1"]}
+
+
+@pytest.mark.parametrize("case", ["character", "halfspectrum", "complex"])
+def test_streamed_ratio_matches_stack(case):
+    n = 15
+    assert 1 << n >= 2 * core.BLOCK        # the stream has two or more blocks
+    rng = np.random.default_rng(12)
+    if case == "character":          # one level: projection route
+        f = character(n, (1 << (n - 1)) - 1)
+    elif case == "halfspectrum":     # spectral side, levels 0..7: projection route
+        f = random_halfspectrum_function(n, rng)
+    else:                            # every level present: per-row route
+        f = CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
+    table = build_table(n)
+    stack = spherical_mean_stack(f, range(n + 1), table)
+    for r in (1.0, 2.0, 3.0):
+        v = vr_pointwise_values(stack, r)
+        expected = float(np.sqrt((v**2).sum())) / f.norm(2)
+        streamed = variation_norm_ratio(f, range(n + 1), r, table)
+        if r == 3.0:
+            assert streamed == pytest.approx(expected, rel=1e-14)
+        else:
+            assert streamed == expected
+
+
+def test_streamed_ratio_independent_of_block_width(monkeypatch):
+    n = 6
+    rng = np.random.default_rng(14)
+    inputs = [
+        character(n, 0b011111),
+        random_halfspectrum_function(n, rng),
+        CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)),
+    ]
+    expected = [variation_norm_ratio(f, range(n + 1), 3.0) for f in inputs]
+    parity = [full_vs_parity_norm(n, 3.0, f) for f in inputs]
+    monkeypatch.setattr(core, "BLOCK", 7)
+    assert [variation_norm_ratio(f, range(n + 1), 3.0) for f in inputs] == expected
+    assert [full_vs_parity_norm(n, 3.0, f) for f in inputs] == parity
+
+
+def test_streamed_ratio_holds_no_stack():
+    n = 16
+    f = character(n, 2**15 - 1)
+    variation_norm_ratio(f, range(n + 1), 2.0)     # fill the table and popcount caches
+    tracemalloc.start()
+    try:
+        variation_norm_ratio(f, range(n + 1), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n + 1) * (1 << n) * 8         # one (n+1) x 2^n float64 stack
 
 
 def test_full_vs_parity_rejects_zero():

@@ -37,8 +37,9 @@ def test_noise_binomial_parameter():
     assert np.abs(noise_binomial(f, 0.0).values - f.values).max() < 1e-12
     out = noise_binomial(f, math.log(2))
     assert np.abs(out.values - 0.25 * f.values).max() < 1e-12
-    with pytest.raises(ValueError):
-        noise_binomial(f, -0.1)
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            noise_binomial(f, t)
 
 
 def test_spherical_mean_radius_zero_is_identity():
@@ -162,8 +163,9 @@ def test_noise_multiplier_basics():
     chi = character(n, y)
     out = noise_multiplier(chi, 1.0)
     assert np.abs(out.values - math.exp(-3) * chi.values).max() < 1e-12
-    with pytest.raises(ValueError):
-        noise_multiplier(f, -1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            noise_multiplier(f, t)
 
 
 def test_noise_semigroup_composition():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cubevar import core
 from cubevar import (
     CubeFunction,
     build_table,
@@ -182,3 +183,34 @@ def test_vr_pointwise_errors():
     for r in (0.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             vr_pointwise_values(np.zeros((2, 4)), r)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-120])
+def test_vr_no_overflow_or_underflow(scale):
+    # |jump|^3 would overflow (1e600) or underflow (1e-360) without scaling
+    seq = [0.0, scale, 0.0]
+    with np.errstate(all="raise"):
+        for r in (1.0, 2.0, 3.0, 2.5):
+            expected = 2 ** (1 / r) * scale
+            assert vr_exact(seq, r).value == pytest.approx(expected, rel=1e-14)
+            column = vr_pointwise_values(np.array(seq)[:, None], r)
+            assert column[0] == pytest.approx(expected, rel=1e-14)
+
+
+def test_vr_pointwise_independent_of_block_width(monkeypatch):
+    rng = np.random.default_rng(13)
+    block = 7
+    points = 2 * block + 5                  # two full blocks and a partial one
+    magnitudes = 10.0 ** rng.uniform(-100, 100, size=points)
+    stacks = [
+        rng.standard_normal((6, points)) * magnitudes,
+        (rng.standard_normal((5, points)) + 1j * rng.standard_normal((5, points))) * magnitudes,
+    ]
+    r_list = (1.0, 2.0, 3.0, 2.5)
+    expected = [[vr_pointwise_values(s, r) for r in r_list] for s in stacks]
+    monkeypatch.setattr(core, "BLOCK", block)
+    for s, values in zip(stacks, expected):
+        for r, v in zip(r_list, values):
+            assert np.array_equal(vr_pointwise_values(s, r), v)
+        x = int(rng.integers(points))
+        assert values[1][x] == pytest.approx(vr_exact(s[:, x], 2.0).value, rel=1e-12)
