@@ -14,29 +14,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .checks import CHECKS, run_check
 from .core import CubeFunction, fwht
-from .krawtchouk import (
-    bound_scan_a,
-    bound_scan_b_c,
-    build_table,
-    check_difference_identity,
-    check_fact_properties,
-    estimate_exp_constant,
-)
-from .operators import (
-    noise_binomial,
-    noise_multiplier,
-    semigroup_axioms_check,
-    spherical_mean_direct,
-    spherical_mean_multiplier,
-    spherical_mean_stack,
-)
-from .variation import (
-    check_chain_lemma,
-    check_variation_properties,
-    dyadic_partition,
-    vr_pointwise_values,
-)
+from .krawtchouk import bound_scan_a, bound_scan_b_c, build_table, estimate_exp_constant
+from .operators import spherical_mean_stack
+from .variation import vr_pointwise_values
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -49,7 +31,16 @@ from .experiments import (
     variation_norm_ratio,
 )
 
-CONFIG_KEYS = ("n_list", "r_list", "q", "alpha", "seed", "trials")
+
+def _list_of(parse):
+    return lambda text: [parse(v) for v in text.split(",")]
+
+
+#: Config key -> the parser of its value, in a config file or a flag.
+CONFIG_PARSERS = {"n_list": _list_of(int), "r_list": _list_of(float), "q": int,
+                  "alpha": float, "seed": int, "trials": int}
+#: Command-line flag -> the config key it overrides.
+FLAG_KEYS = {"n": "n_list", "r": "r_list", "q": "q", "seed": "seed", "trials": "trials"}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -64,38 +55,19 @@ def parse_config(path) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = text.partition("=")
             key = key.strip()
-            if key not in CONFIG_KEYS:
+            if key not in CONFIG_PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             raw[key] = value.strip()
-    kwargs = {}
-    if "n_list" in raw:
-        kwargs["n_list"] = [int(v) for v in raw["n_list"].split(",")]
-    if "r_list" in raw:
-        kwargs["r_list"] = [float(v) for v in raw["r_list"].split(",")]
-    if "q" in raw:
-        kwargs["q"] = int(raw["q"])
-    if "alpha" in raw:
-        kwargs["alpha"] = float(raw["alpha"])
-    if "seed" in raw:
-        kwargs["seed"] = int(raw["seed"])
-    if "trials" in raw:
-        kwargs["trials"] = int(raw["trials"])
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{key: CONFIG_PARSERS[key](value) for key, value in raw.items()})
 
 
 def _merge_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
     kwargs = cfg.as_dict()
-    if getattr(args, "n", None):
-        kwargs["n_list"] = [int(v) for v in args.n.split(",")]
-    if getattr(args, "r", None):
-        kwargs["r_list"] = [float(v) for v in args.r.split(",")]
-    if getattr(args, "q", None) is not None:
-        kwargs["q"] = args.q
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        kwargs["trials"] = args.trials
+    for flag, key in FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value not in (None, ""):
+            kwargs[key] = CONFIG_PARSERS[key](value)
     return ExperimentConfig(**kwargs)
 
 
@@ -123,72 +95,30 @@ def _emit(report: ExperimentReport, out_dir, fmt: str) -> None:
 
 def cmd_verify(args) -> int:
     cfg = _merge_config(args)
-    n = max(cfg.n_list)
+    n, trials, seed = max(cfg.n_list), cfg.trials, cfg.seed
+    sizes = {
+        "krawtchouk_identity_failures": {"dims": range(1, n + 1)},
+        "bound_a_max_ratio": {"dims": [n]},
+        "spherical_cross_validation": {"dims": [n] * min(trials, 10), "seed": seed},
+        "noise_cross_validation": {"dims": [n] * min(trials, 10), "seed": seed},
+        "semigroup_max_violation": {"cases": [(n, min(trials, 20))], "seed": seed},
+        "variation_worst_slack": {"trials": min(trials, 200), "seed": seed},
+        "chain_lemma_worst_slack": {"cases": [(5, 24, 2.0)], "trials": min(trials, 100), "seed": seed},
+        "dyadic_partition_failures": {"scales": range(7)},
+    }
     report = ExperimentReport("verify", cfg.as_dict())
-    failed = False
-
-    for m in range(1, n + 1):
-        facts = check_fact_properties(m)
-        failed |= facts["failures"] > 0
-        if m >= 2:
-            diff = check_difference_identity(m)
-            failed |= diff["failures"] > 0
-    report.add({"n": n, "metric": "krawtchouk_identity_failures", "value": 0 if not failed else 1})
-
-    scan = bound_scan_a(n)
-    failed |= not scan["within_two"]
-    report.add({"n": n, "metric": "bound_a_max_ratio", "value": scan["value"],
-                "witness": {"argmax": scan["argmax"]}})
-
-    rng = np.random.default_rng(cfg.seed)
-    table = build_table(n)
-    worst_sphere = 0.0
-    worst_noise = 0.0
-    t_grid = [0.01, 0.1, 1.0, math.log(2), 5.0]
-    for _ in range(min(cfg.trials, 10)):
-        f = CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
-        for k in range(n + 1):
-            d = spherical_mean_direct(f, k)
-            m_ = spherical_mean_multiplier(f, k, table)
-            worst_sphere = max(worst_sphere, float(np.abs(d.values - m_.values).max()))
-        for t in t_grid:
-            nb = noise_binomial(f, t, table)
-            nm = noise_multiplier(f, t)
-            worst_noise = max(worst_noise, float(np.abs(nb.values - nm.values).max()))
-    failed |= worst_sphere > 1e-10 or worst_noise > 1e-10
-    report.add({"n": n, "metric": "spherical_cross_validation", "value": worst_sphere})
-    report.add({"n": n, "metric": "noise_cross_validation", "value": worst_noise})
-
-    axioms = semigroup_axioms_check(n, t_grid, trials=min(cfg.trials, 20), seed=cfg.seed)
-    failed |= axioms["max_violation"] > 1e-10
-    report.add({"n": n, "metric": "semigroup_max_violation", "value": axioms["max_violation"]})
-
-    props = check_variation_properties(min(cfg.trials, 200), seed=cfg.seed)
-    failed |= props["worst"] < -1e-10
-    report.add({"n": n, "metric": "variation_worst_slack", "value": props["worst"]})
-
-    chain = check_chain_lemma(l=5, M=24, s=2.0, trials=min(cfg.trials, 100), seed=cfg.seed)
-    failed |= chain["worst_slack"] < -1e-10
-    report.add({"n": n, "metric": "chain_lemma_worst_slack", "value": chain["worst_slack"]})
-
-    bad_partitions = 0
-    for l in range(0, 7):
-        for a in range(1 << l):
-            for b in range(a + 1, (1 << l) + 1):
-                parts = dyadic_partition(a, b, l)
-                covered = sum(hi - lo for lo, hi in parts)
-                per_scale = {}
-                ok = covered == b - a and parts[0][0] == a and parts[-1][1] == b
-                for lo, hi in parts:
-                    g = (hi - lo).bit_length() - 1
-                    ok &= lo % (hi - lo) == 0
-                    per_scale[g] = per_scale.get(g, 0) + 1
-                ok &= all(c <= 2 for c in per_scale.values())
-                bad_partitions += 0 if ok else 1
-    failed |= bad_partitions > 0
-    report.add({"n": n, "metric": "dyadic_partition_failures", "value": bad_partitions})
-
+    failed = []
+    for name in CHECKS:
+        res = run_check(name, **sizes[name])
+        verdict = "PASS" if res["passed"] else "FAIL"
+        print(f"CHECK {name} {res['value']} {res['tol']} {verdict} {res['elapsed']:.3f}s")
+        witness = {} if res["witness"] is None else {"witness": res["witness"]}
+        report.add({"n": n, "metric": name, "value": res["value"], **witness})
+        if not res["passed"]:
+            failed.append(name)
     _emit(report, args.out, args.format)
+    if failed:
+        print(f"verify: failed checks: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0
 
 

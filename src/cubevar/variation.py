@@ -299,6 +299,8 @@ def check_chain_lemma(l: int, M: int, s: float, trials: int, seed: int = 0) -> d
     Returns the worst slack (must be >= 0)."""
     if s < 1:
         raise ValueError("s must be >= 1")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if l < 0 or l > 10:
         raise ValueError("l capped at 10")
     rng = np.random.default_rng(seed)

@@ -10,33 +10,21 @@ import numpy as np
 
 from cubevar import (
     CubeFunction,
-    bound_scan_a,
     build_table,
     character,
-    check_chain_lemma,
-    check_difference_identity,
-    check_fact_properties,
-    check_variation_properties,
     counterexample_all_ones,
-    dyadic_partition,
     fwht,
-    noise_binomial,
-    noise_multiplier,
     parity_character_scan,
     phi_scan,
     psi_scan,
-    semigroup_axioms_check,
-    spherical_mean_direct,
-    spherical_mean_multiplier,
     spherical_mean_stack,
     vr_bruteforce,
     vr_exact,
     vr_pointwise_values,
 )
+from cubevar.checks import run_check
 from cubevar.cli import main
 from cubevar.experiments import ExperimentReport
-
-T_GRID = [0.01, 0.1, 1.0, math.log(2), 5.0]
 
 
 def report_line(num, name, ok):
@@ -50,60 +38,29 @@ def rand_fn(n, rng):
 
 
 def test_01_exact_krawtchouk_identities():
-    t0 = time.monotonic()
-    ok = True
-    for n in range(1, 31):
-        ok &= check_fact_properties(n)["failures"] == 0
-        if n >= 2:
-            ok &= check_difference_identity(n)["failures"] == 0
-    elapsed = time.monotonic() - t0
-    ok &= elapsed < 30.0
-    report_line(1, f"exact-krawtchouk-identities ({elapsed:.1f}s)", ok)
+    res = run_check("krawtchouk_identity_failures", dims=range(1, 31))
+    ok = res["passed"] and res["elapsed"] < 30.0
+    report_line(1, f"exact-krawtchouk-identities ({res['elapsed']:.1f}s)", ok)
 
 
 def test_02_bound_a_sharp_constant():
-    attains = False
-    within = True
-    for n in range(1, 25):
-        scan = bound_scan_a(n)
-        within &= scan["within_two"]
-        attains |= scan["attains_two"]
-    report_line(2, "bound-a-sharp-constant-2", within and attains)
+    res = run_check("bound_a_max_ratio", dims=range(1, 25))
+    report_line(2, "bound-a-sharp-constant-2", res["passed"] and res["value"] == 2)
 
 
 def test_03_operator_cross_validation():
-    t0 = time.monotonic()
-    rng = np.random.default_rng(2024)
-    worst_sphere = 0.0
-    worst_noise = 0.0
-    for i in range(50):
-        n = (4, 8, 12)[i % 3]
-        table = build_table(n)
-        f = rand_fn(n, rng)
-        for k in range(n + 1):
-            d = spherical_mean_direct(f, k)
-            m = spherical_mean_multiplier(f, k, table)
-            worst_sphere = max(worst_sphere, float(np.abs(d.values - m.values).max()))
-        for t in T_GRID:
-            nb = noise_binomial(f, t, table)
-            nm = noise_multiplier(f, t)
-            worst_noise = max(worst_noise, float(np.abs(nb.values - nm.values).max()))
-    elapsed = time.monotonic() - t0
-    ok = worst_sphere < 1e-10 and worst_noise < 1e-10 and elapsed < 120.0
-    report_line(
-        3,
-        f"operator-cross-validation (sphere {worst_sphere:.2e}, noise {worst_noise:.2e}, {elapsed:.1f}s)",
-        ok,
-    )
+    dims = [(4, 8, 12)[i % 3] for i in range(50)]
+    sphere = run_check("spherical_cross_validation", dims=dims, seed=2024)
+    noise = run_check("noise_cross_validation", dims=dims, seed=2024)
+    elapsed = sphere["elapsed"] + noise["elapsed"]
+    ok = sphere["passed"] and noise["passed"] and elapsed < 120.0
+    values = f"sphere {sphere['value']:.2e}, noise {noise['value']:.2e}, {elapsed:.1f}s"
+    report_line(3, f"operator-cross-validation ({values})", ok)
 
 
 def test_04_semigroup_axioms():
-    worst = 0.0
-    for n, trials in ((6, 25), (12, 25)):
-        rep = semigroup_axioms_check(n, T_GRID, trials=trials, seed=7)
-        worst = max(worst, rep["max_violation"])
-    ok = worst <= 1e-10
-    report_line(4, f"diffusion-semigroup-axioms (worst {worst:.2e})", ok)
+    res = run_check("semigroup_max_violation", cases=((6, 25), (12, 25)), seed=7)
+    report_line(4, f"diffusion-semigroup-axioms (worst {res['value']:.2e})", res["passed"])
 
 
 def test_05_variation_dp_vs_bruteforce():
@@ -158,31 +115,15 @@ def test_07_counterexample_truncated():
 
 def test_08_variation_inequality_suite():
     # 600 trials x 3 orders x 6 properties > 10^4 property instances
-    props = check_variation_properties(600, seed=5)
-    ok = props["worst"] >= -1e-10
-    for s in (1.5, 2.0, 3.0):
-        for l, M in ((4, 16), (6, 50)):
-            rep = check_chain_lemma(l=l, M=M, s=s, trials=175, seed=13)
-            ok &= rep["worst_slack"] >= -1e-10
-    report_line(8, "variation-inequality-suite", ok)
+    props = run_check("variation_worst_slack", trials=600, seed=5)
+    cases = [(l, M, s) for s in (1.5, 2.0, 3.0) for l, M in ((4, 16), (6, 50))]
+    chain = run_check("chain_lemma_worst_slack", cases=cases, trials=175, seed=13)
+    report_line(8, "variation-inequality-suite", props["passed"] and chain["passed"])
 
 
 def test_09_dyadic_partition_lemma():
-    failures = 0
-    for l in range(0, 9):
-        for a in range(1 << l):
-            for b in range(a + 1, (1 << l) + 1):
-                parts = dyadic_partition(a, b, l)
-                good = parts[0][0] == a and parts[-1][1] == b
-                good &= all(p[1] == q[0] for p, q in zip(parts, parts[1:]))
-                per_scale = {}
-                for lo, hi in parts:
-                    size = hi - lo
-                    good &= size & (size - 1) == 0 and lo % size == 0
-                    per_scale[size] = per_scale.get(size, 0) + 1
-                good &= all(c <= 2 for c in per_scale.values())
-                failures += 0 if good else 1
-    report_line(9, f"dyadic-partition-lemma ({failures} failures)", failures == 0)
+    res = run_check("dyadic_partition_failures", scales=range(9))
+    report_line(9, f"dyadic-partition-lemma ({res['value']} failures)", res["passed"])
 
 
 def test_10_parity_vs_full_blowup(tmp_path):

@@ -1,8 +1,10 @@
 import csv
-import os
+import json
 
 import pytest
 
+from cubevar import krawtchouk
+from cubevar.checks import CHECKS
 from cubevar.cli import main, parse_config
 from cubevar.experiments import ExperimentConfig
 
@@ -62,7 +64,21 @@ def test_verify_passes(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "verify:" in out
-    assert (tmp_path / "verify.json").exists()
+    passed = [line.split()[1] for line in out.splitlines()
+              if line.startswith("CHECK ") and line.split()[4] == "PASS"]
+    assert passed == list(CHECKS)
+    records = json.loads((tmp_path / "verify.json").read_text())["records"]
+    assert [rec["metric"] for rec in records] == list(CHECKS)
+
+
+def test_verify_counts_identity_failures_and_names_them(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(krawtchouk, "check_fact_properties", lambda m: {"failures": m})
+    code = main(["verify", "--n", "4", "--trials", "2", "--out", str(tmp_path), "--format", "json"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "krawtchouk_identity_failures" in err and "bound_a_max_ratio" not in err
+    record = json.loads((tmp_path / "verify.json").read_text())["records"][0]
+    assert record == {"n": 4, "metric": "krawtchouk_identity_failures", "value": 1 + 2 + 3 + 4}
 
 
 def test_counterexample_command_and_value(tmp_path, capsys):

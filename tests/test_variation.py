@@ -19,6 +19,7 @@ from cubevar import (
     vr_pointwise,
     vr_pointwise_values,
 )
+from cubevar.checks import run_check
 
 
 def test_vr_constant_is_zero():
@@ -105,19 +106,7 @@ def test_dyadic_partition_examples():
 
 @pytest.mark.parametrize("l", range(0, 9))
 def test_dyadic_partition_exhaustive(l):
-    for a in range(1 << l):
-        for b in range(a + 1, (1 << l) + 1):
-            parts = dyadic_partition(a, b, l)
-            # exact disjoint cover
-            assert parts[0][0] == a and parts[-1][1] == b
-            assert all(p[1] == q[0] for p, q in zip(parts, parts[1:]))
-            per_scale = {}
-            for lo, hi in parts:
-                size = hi - lo
-                assert size & (size - 1) == 0 and lo % size == 0
-                g = size.bit_length() - 1
-                per_scale[g] = per_scale.get(g, 0) + 1
-            assert all(c <= 2 for c in per_scale.values())
+    assert run_check("dyadic_partition_failures", scales=[l])["value"] == 0
 
 
 def test_variation_properties_sweep():
@@ -144,6 +133,8 @@ def test_chain_lemma_errors():
         check_chain_lemma(l=11, M=3, s=2.0, trials=1)
     with pytest.raises(ValueError):
         check_chain_lemma(l=3, M=3, s=0.9, trials=1)
+    with pytest.raises(ValueError):
+        check_chain_lemma(l=3, M=8, s=2.0, trials=0)
 
 
 def test_vr_pointwise_matches_per_point():
