@@ -48,8 +48,8 @@ from .experiments import (
     ExperimentReport,
     character_variation,
     counterexample_all_ones,
+    counterexample_corollary,
     counterexample_truncated,
-    corollary_truncation_scan,
     full_vs_parity_norm,
     parity_character_scan,
     phi_scan,

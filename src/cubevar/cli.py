@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .checks import CHECKS, run_check
-from .core import CubeFunction, fwht
+from .core import CubeFunction, check_dim, fwht
 from .krawtchouk import bound_scan_a, bound_scan_b_c, build_table, estimate_exp_constant
 from .operators import spherical_mean_stack
 from .variation import vr_pointwise_values
@@ -23,6 +23,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentReport,
     counterexample_all_ones,
+    counterexample_corollary,
     counterexample_truncated,
     parity_character_scan,
     phi_scan,
@@ -71,6 +72,25 @@ def _merge_config(args) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def _cube_config(args) -> ExperimentConfig:
+    """`_merge_config`, with every dimension checked for 2^n-point cube functions."""
+    cfg = _merge_config(args)
+    for n in cfg.n_list:
+        check_dim(n)
+    return cfg
+
+
+def _threads(args) -> int:
+    """--threads, else the CUBEVAR_THREADS environment variable, else the CPU count."""
+    if args.threads is not None:
+        return args.threads
+    text = os.environ.get("CUBEVAR_THREADS", str(os.cpu_count() or 1))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"CUBEVAR_THREADS must be an integer, got {text!r}") from None
+
+
 def map_ordered(fn, items, threads: int):
     """Apply fn over items, optionally on a thread pool; results keep the
     input order so reports stay deterministic."""
@@ -94,7 +114,7 @@ def _emit(report: ExperimentReport, out_dir, fmt: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    cfg = _merge_config(args)
+    cfg = _cube_config(args)
     n, trials, seed = max(cfg.n_list), cfg.trials, cfg.seed
     sizes = {
         "krawtchouk_identity_failures": {"dims": range(1, n + 1)},
@@ -149,7 +169,9 @@ def cmd_kraw_table(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    cfg = _merge_config(args)
+    # The corollary witness is read off the multiplier sequence alone.
+    cfg = _merge_config(args) if args.kind == "corollary" else _cube_config(args)
+    threads = _threads(args)
     report = ExperimentReport(f"counterexample-{args.kind}", cfg.as_dict())
     grid = [(n, r) for n in cfg.n_list for r in cfg.r_list]
 
@@ -157,20 +179,24 @@ def cmd_counterexample(args) -> int:
         n, r = pair
         if args.kind == "all-ones":
             return counterexample_all_ones(n, r)
+        if args.kind == "corollary":
+            return counterexample_corollary(n, r, cfg.alpha)
         return counterexample_truncated(n, r, math.sqrt(n))
 
-    report.extend(map_ordered(one, grid, args.threads))
+    report.extend(map_ordered(one, grid, threads))
     _emit(report, args.out, args.format)
-    violated = any(not rec["witness"]["satisfied"] for rec in report.records)
+    # A corollary_skipped record (no witness at this n) has no verdict.
+    violated = any(not rec["witness"].get("satisfied", True) for rec in report.records)
     return 1 if violated else 0
 
 
 def cmd_parity_scan(args) -> int:
     cfg = _merge_config(args)
+    threads = _threads(args)
     report = ExperimentReport("parity-scan", cfg.as_dict())
     parities = (0, 1) if cfg.q is None else (cfg.q,)
     grid = [(n, r, q) for n in cfg.n_list for r in cfg.r_list for q in parities]
-    report.extend(map_ordered(lambda t: parity_character_scan(*t), grid, args.threads))
+    report.extend(map_ordered(lambda t: parity_character_scan(*t), grid, threads))
     _emit(report, args.out, args.format)
     return 0
 
@@ -186,7 +212,7 @@ def cmd_phi_psi(args) -> int:
 
 
 def cmd_half_spectrum(args) -> int:
-    cfg = _merge_config(args)
+    cfg = _cube_config(args)
     report = ExperimentReport("half-spectrum", cfg.as_dict())
     for n in cfg.n_list:
         for r in cfg.r_list:
@@ -196,7 +222,7 @@ def cmd_half_spectrum(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _merge_config(args)
+    cfg = _cube_config(args)
     report = ExperimentReport("bench", cfg.as_dict())
     rng = np.random.default_rng(cfg.seed)
     for n in cfg.n_list:
@@ -208,9 +234,8 @@ def cmd_bench(args) -> int:
         report.add({"n": n, "metric": "fwht_seconds", "value": t_fwht,
                     "witness": {"throughput_elems_per_s": size / t_fwht}})
         f = CubeFunction(n, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-        table = build_table(n)
         t0 = time.perf_counter()
-        stack = spherical_mean_stack(f, range(n + 1), table)
+        stack = spherical_mean_stack(f, range(n + 1))
         t_sweep = time.perf_counter() - t0
         report.add({"n": n, "metric": "spherical_sweep_seconds", "value": t_sweep})
         t0 = time.perf_counter()
@@ -219,7 +244,7 @@ def cmd_bench(args) -> int:
         report.add({"n": n, "r": 2.0, "metric": "vr_pointwise_seconds", "value": t_vr})
         del stack
         t0 = time.perf_counter()
-        variation_norm_ratio(f, range(n + 1), 2.0, table)
+        variation_norm_ratio(f, range(n + 1), 2.0)
         t_ratio = time.perf_counter() - t0
         report.add({"n": n, "r": 2.0, "metric": "variation_ratio_seconds", "value": t_ratio})
     _emit(report, args.out, args.format)
@@ -243,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Variation seminorms of spherical means on the Hamming cube",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_threads = int(os.environ.get("CUBEVAR_THREADS", os.cpu_count() or 1))
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--n", help="dimension or comma list of dimensions")
@@ -251,12 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, choices=(0, 1), help="radius parity")
         p.add_argument("--seed", type=int, help="64-bit reproducibility seed")
         p.add_argument("--trials", type=int, help="random trial count")
-        p.add_argument("--threads", type=int, default=default_threads)
         p.add_argument("--config", help="plain key=value config file")
         p.add_argument("--out", default="reports", help="output directory")
         p.add_argument("--format", choices=("json", "csv", "both"), default="both")
+        if name in ("counterexample", "parity-scan"):
+            p.add_argument("--threads", type=int, help="default: CUBEVAR_THREADS, then CPU count")
         if name == "counterexample":
-            p.add_argument("--kind", choices=("all-ones", "truncated"), default="all-ones")
+            p.add_argument("--kind", choices=("all-ones", "truncated", "corollary"), default="all-ones")
     return parser
 
 
@@ -265,8 +290,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

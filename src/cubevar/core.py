@@ -34,6 +34,12 @@ def length(x: int) -> int:
     return int(x).bit_count()
 
 
+def check_dim(n: int) -> None:
+    """Reject a dimension whose 2^n-point cube functions are not supported."""
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"dimension {n} outside 1..{MAX_DIM}")
+
+
 @lru_cache(maxsize=None)
 def popcounts(n: int) -> np.ndarray:
     """Array of |x| for every x in {0, ..., 2^n - 1} (read-only, cached)."""
@@ -51,8 +57,7 @@ class CubeFunction:
     side: str = PHYSICAL
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DIM:
-            raise ValueError(f"dimension {self.n} outside 1..{MAX_DIM}")
+        check_dim(self.n)
         if self.side not in (PHYSICAL, SPECTRAL):
             raise ValueError(f"unknown side {self.side!r}")
         self.values = np.asarray(self.values, dtype=np.complex128)

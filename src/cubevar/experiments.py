@@ -10,13 +10,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .core import SPECTRAL, CubeFunction, character, popcounts
-from .krawtchouk import KrawtchoukTable, build_table
-from .operators import spherical_mean_blocks
+from .krawtchouk import build_table
+from .operators import _kraw_rows, spherical_mean_blocks
 from .variation import vr_exact, vr_pointwise_values
 
 CSV_HEADER = ["experiment", "n", "r", "q", "metric", "value", "witness"]
@@ -27,7 +27,7 @@ class ExperimentConfig:
     n_list: list = field(default_factory=lambda: [8])
     r_list: list = field(default_factory=lambda: [2.0])
     q: int | None = None
-    alpha: float = 0.5            # power rule b_n = n^alpha
+    alpha: float = 0.5            # power rule b_n = n^alpha (counterexample --kind corollary)
     seed: int = 0
     trials: int = 100
 
@@ -44,14 +44,7 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
 
     def as_dict(self) -> dict:
-        return {
-            "n_list": list(self.n_list),
-            "r_list": list(self.r_list),
-            "q": self.q,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -60,9 +53,8 @@ class ExperimentReport:
     parameters: dict
     records: list = field(default_factory=list)
 
-    def add(self, record: dict) -> dict:
+    def add(self, record: dict) -> None:
         self.records.append(record)
-        return record
 
     def extend(self, records) -> None:
         self.records.extend(records)
@@ -104,15 +96,13 @@ class ExperimentReport:
                 )
 
 
-def variation_norm_ratio(
-    f: CubeFunction, radii, r: float, table: KrawtchoukTable | None = None
-) -> float:
+def variation_norm_ratio(f: CubeFunction, radii, r: float) -> float:
     """|| V_r(S_k f : k in radii) ||_2 / ||f||_2 via the full pipeline: each
     block of spherical means goes through the pointwise DP as it is made, so
     neither the (|radii|, 2^n) stack nor a DP table over every point is held."""
     norm_f = _nonzero_norm(f)
     v = np.empty(1 << f.n)
-    for cols, block in spherical_mean_blocks(f, radii, table):
+    for cols, block in spherical_mean_blocks(f, radii):
         v[cols] = vr_pointwise_values(block, r)
     return _l2_ratio(v, norm_f)
 
@@ -130,12 +120,12 @@ def _l2_ratio(v: np.ndarray, norm_f: float) -> float:
     return float(np.sqrt((v**2).sum())) / norm_f
 
 
-def character_variation(n: int, weight: int, radii, r: float, table=None) -> float:
+def character_variation(n: int, weight: int, radii, r: float) -> float:
     """Ratio for f = chi_y with |y| = weight: equals V_r of the multiplier
     sequence (kappa_k(weight))_k since S_k chi_y = kappa_k(|y|) chi_y."""
-    if table is None:
-        table = build_table(n)
-    return vr_exact([table.float[k, weight] for k in radii], r).value
+    if not (isinstance(weight, (int, np.integer)) and 0 <= weight <= n):
+        raise ValueError(f"weight {weight!r} outside 0..{n}")
+    return vr_exact(_kraw_rows(n, radii)[:, weight], r).value
 
 
 def counterexample_all_ones(n: int, r: float) -> dict:
@@ -181,54 +171,45 @@ def counterexample_truncated(n: int, r: float, a_n: float) -> dict:
     }
 
 
-def corollary_truncation_scan(config: ExperimentConfig) -> ExperimentReport:
-    """Witnesses excluded from E_n = {|y| >= n - b_n} whose ratios still diverge.
+def counterexample_corollary(n: int, r: float, alpha: float) -> dict:
+    """A witness excluded from E_n = {|y| >= n - b_n} whose ratio still diverges.
 
     Uses b_n = n^alpha, d_n = max(1/9, b_n), a_n = sqrt(n d_n), and the witness
     weight ceil(n - d_n) - 1; the ratio is evaluated on the multiplier sequence
-    of the witness character.
+    of the witness character.  The weight lies below n - d_n, outside E_n, by
+    construction.  Where it is not admissible (small n) the record is
+    `corollary_skipped`, with a NaN value.
     """
-    report = ExperimentReport("corollary-truncation", config.as_dict())
-    for n in config.n_list:
-        b_n = n**config.alpha
-        d_n = max(1.0 / 9.0, b_n)
-        a_n = math.sqrt(n * d_n)
-        weight = math.ceil(n - d_n) - 1
-        for r in config.r_list:
-            if weight < 0 or weight < n - a_n:
-                report.add(
-                    {
-                        "n": n,
-                        "r": r,
-                        "q": None,
-                        "metric": "corollary_skipped",
-                        "value": float("nan"),
-                        "witness": {"weight": weight, "reason": "witness construction impossible"},
-                    }
-                )
-                continue
-            if not weight < n - d_n:
-                raise AssertionError("witness not excluded from the truncated spectrum")
-            ratio = character_variation(n, weight, range(n + 1), r)
-            bound = (2.0 / 3.0) * math.floor(n / (3.0 * a_n)) ** (1.0 / r)
-            report.add(
-                {
-                    "n": n,
-                    "r": r,
-                    "q": None,
-                    "metric": "corollary_ratio",
-                    "value": ratio,
-                    "witness": {
-                        "weight": weight,
-                        "b_n": b_n,
-                        "d_n": d_n,
-                        "a_n": a_n,
-                        "lower_bound": bound,
-                        "satisfied": bool(ratio >= bound - 1e-12),
-                    },
-                }
-            )
-    return report
+    b_n = n**alpha
+    d_n = max(1.0 / 9.0, b_n)
+    a_n = math.sqrt(n * d_n)
+    weight = math.ceil(n - d_n) - 1
+    if weight < 0 or weight < n - a_n:
+        return {
+            "n": n,
+            "r": r,
+            "q": None,
+            "metric": "corollary_skipped",
+            "value": float("nan"),
+            "witness": {"weight": weight, "reason": "witness construction impossible"},
+        }
+    ratio = character_variation(n, weight, range(n + 1), r)
+    bound = (2.0 / 3.0) * math.floor(n / (3.0 * a_n)) ** (1.0 / r)
+    return {
+        "n": n,
+        "r": r,
+        "q": None,
+        "metric": "corollary_ratio",
+        "value": ratio,
+        "witness": {
+            "weight": weight,
+            "b_n": b_n,
+            "d_n": d_n,
+            "a_n": a_n,
+            "lower_bound": bound,
+            "satisfied": bool(ratio >= bound - 1e-12),
+        },
+    }
 
 
 def parity_radii(n: int, q: int) -> list:
@@ -237,13 +218,11 @@ def parity_radii(n: int, q: int) -> list:
     return [k for k in range(n + 1) if k % 2 == q]
 
 
-def parity_character_scan(n: int, r: float, q: int, table=None) -> dict:
+def parity_character_scan(n: int, r: float, q: int) -> dict:
     """Max over spectral levels m of V_r of the parity-restricted multiplier
     sequence; this is the character supremum of the fixed-parity operator."""
-    if table is None:
-        table = build_table(n)
     radii = parity_radii(n, q)
-    values = [character_variation(n, m, radii, r, table) for m in range(n + 1)]
+    values = [character_variation(n, m, radii, r) for m in range(n + 1)]
     argmax = int(np.argmax(values))
     return {
         "n": n,
@@ -255,17 +234,18 @@ def parity_character_scan(n: int, r: float, q: int, table=None) -> dict:
     }
 
 
-def full_vs_parity_norm(n: int, r: float, f: CubeFunction, q: int | None = None) -> dict:
+def full_vs_parity_norm(f: CubeFunction, r: float, q: int | None = None) -> dict:
     """Full-range and parity-restricted variation ratios for one function.
 
     One stream of full-range blocks serves all three: every parity family's
     radii are a subset of 0..n, so its means are rows of each block.
     """
+    n = f.n
     norm_f = _nonzero_norm(f)
     parities = (0, 1) if q is None else (q,)
     families = {"full": slice(None), **{str(qq): parity_radii(n, qq) for qq in parities}}
     v = {key: np.empty(1 << n) for key in families}
-    for cols, block in spherical_mean_blocks(f, range(n + 1), build_table(n)):
+    for cols, block in spherical_mean_blocks(f, range(n + 1)):
         for key, rows in families.items():
             v[key][cols] = vr_pointwise_values(block[rows], r)
     full = _l2_ratio(v.pop("full"), norm_f)
@@ -297,11 +277,10 @@ def proposition_halfspectrum_scan(n: int, r: float, trials: int, seed: int) -> d
     if n < 2:
         raise ValueError("need n >= 2")
     rng = np.random.default_rng(seed)
-    table = build_table(n)
     best = 0.0
     for _ in range(trials):
         f = random_halfspectrum_function(n, rng)
-        best = max(best, variation_norm_ratio(f, range(n + 1), r, table))
+        best = max(best, variation_norm_ratio(f, range(n + 1), r))
     return {
         "n": n,
         "r": r,
@@ -322,12 +301,11 @@ def dyadic_radii(n: int) -> list:
     return out
 
 
-def phi_scan(n: int, table=None) -> dict:
+def phi_scan(n: int) -> dict:
     """Phi(x) = sum over dyadic k <= n/2 of |kappa_k(x) - exp(-kx/n)|^2."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if table is None:
-        table = build_table(n)
+    table = build_table(n)
     radii = dyadic_radii(n)
     values = []
     for x in range(n // 2 + 1):
@@ -344,14 +322,13 @@ def phi_scan(n: int, table=None) -> dict:
     }
 
 
-def psi_scan(n: int, table=None) -> dict:
+def psi_scan(n: int) -> dict:
     """Psi(x): the 2^{g/2}-weighted sum of squared Krawtchouk increments over
     the dyadic block grid; the outer sum is finite since the index constraints
     empty out once 2^l exceeds n/2."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if table is None:
-        table = build_table(n)
+    table = build_table(n)
     half = n // 2
     triples = []   # (weight, k_lo, k_hi)
     l = 0

@@ -24,7 +24,7 @@ from .core import (
     inverse_fourier,
     popcounts,
 )
-from .krawtchouk import KrawtchoukTable, build_table
+from .krawtchouk import build_table
 
 
 def sphere_indicator(n: int, k: int) -> CubeFunction:
@@ -123,41 +123,29 @@ def radial_multiplier_blocks(f: CubeFunction, rows):
         yield slice(start, start + block.shape[1]), block if coef is None else coef @ block
 
 
-def _table(n: int, table: KrawtchoukTable | None) -> KrawtchoukTable:
-    if table is None:
-        return build_table(n)
-    if table.n != n:
-        raise ValueError(f"table for n={table.n} does not match function n={n}")
-    return table
-
-
-def _kraw_rows(n: int, radii, table: KrawtchoukTable | None) -> np.ndarray:
+def _kraw_rows(n: int, radii) -> np.ndarray:
     """The multipliers of S_k for k in `radii`: Krawtchouk rows kappa^(n)_k(w)."""
     radii = list(radii)
     for k in radii:
         if not (isinstance(k, (int, np.integer)) and 0 <= k <= n):
             raise ValueError(f"radius {k!r} outside 0..{n}")
-    return _table(n, table).float[radii]
+    return build_table(n).float[radii]
 
 
-def spherical_mean_stack(
-    f: CubeFunction, radii, table: KrawtchoukTable | None = None
-) -> np.ndarray:
+def spherical_mean_stack(f: CubeFunction, radii) -> np.ndarray:
     """Matrix of S_k f for k in `radii`, one row per radius."""
-    return apply_radial_multipliers(f, _kraw_rows(f.n, radii, table))
+    return apply_radial_multipliers(f, _kraw_rows(f.n, radii))
 
 
-def spherical_mean_blocks(f: CubeFunction, radii, table: KrawtchoukTable | None = None):
-    """`spherical_mean_stack(f, radii, table)` streamed as the (columns,
-    block) pairs of `radial_multiplier_blocks`."""
-    return radial_multiplier_blocks(f, _kraw_rows(f.n, radii, table))
+def spherical_mean_blocks(f: CubeFunction, radii):
+    """`spherical_mean_stack(f, radii)` streamed as the (columns, block) pairs
+    of `radial_multiplier_blocks`."""
+    return radial_multiplier_blocks(f, _kraw_rows(f.n, radii))
 
 
-def spherical_mean_multiplier(
-    f: CubeFunction, k: int, table: KrawtchoukTable | None = None
-) -> CubeFunction:
+def spherical_mean_multiplier(f: CubeFunction, k: int) -> CubeFunction:
     """S_k f via the spectral multiplier kappa^(n)_k(|y|)."""
-    return CubeFunction(f.n, spherical_mean_stack(f, [k], table)[0])
+    return CubeFunction(f.n, spherical_mean_stack(f, [k])[0])
 
 
 def _check_time(t: float) -> None:
@@ -172,9 +160,7 @@ def noise_multiplier(f: CubeFunction, t: float) -> CubeFunction:
     return CubeFunction(f.n, apply_radial_multipliers(f, row[None])[0])
 
 
-def noise_binomial(
-    f: CubeFunction, t: float, table: KrawtchoukTable | None = None
-) -> CubeFunction:
+def noise_binomial(f: CubeFunction, t: float) -> CubeFunction:
     """N_t f as the binomial mixture sum_k C(n,k) u^k (1-u)^{n-k} S_k f with
     u = (1 - e^{-t}) / 2, applied as the one multiplier row that mixes the
     Krawtchouk rows kappa_k with those weights."""
@@ -182,7 +168,7 @@ def noise_binomial(
     n = f.n
     u = (1.0 - math.exp(-t)) / 2.0
     weights = [math.comb(n, k) * u**k * (1.0 - u) ** (n - k) for k in range(n + 1)]
-    row = np.asarray(weights) @ _table(n, table).float
+    row = np.asarray(weights) @ build_table(n).float
     return CubeFunction(n, apply_radial_multipliers(f, row[None])[0])
 
 
@@ -229,9 +215,9 @@ def semigroup_axioms_check(n: int, t_grid, trials: int = 20, seed: int = 0) -> d
     return worst
 
 
-def antipodal_check(f: CubeFunction, table: KrawtchoukTable | None = None) -> dict:
+def antipodal_check(f: CubeFunction) -> dict:
     """Worst violation of S_k f(x XOR 1_n) = S_{n-k} f(x) over all k and x."""
     n = f.n
-    means = spherical_mean_stack(f, range(n + 1), table)
+    means = spherical_mean_stack(f, range(n + 1))
     worst = float(np.abs(means[:, ::-1] - means[::-1]).max())
     return {"n": n, "max_violation": worst}

@@ -134,7 +134,7 @@ def test_10_parity_vs_full_blowup(tmp_path):
     for n in range(4, 25):
         table = build_table(n)
         for q in (0, 1):
-            rec = parity_character_scan(n, r, q, table)
+            rec = parity_character_scan(n, r, q)
             parity_max[q][n] = rec["value"]
             report.add(rec)
         full = max(
@@ -163,9 +163,8 @@ def test_11_phi_psi_boundedness():
     psi_max = []
     ok = True
     for n in range(4, 25):
-        table = build_table(n)
-        phi = phi_scan(n, table)
-        psi = psi_scan(n, table)
+        phi = phi_scan(n)
+        psi = psi_scan(n)
         ok &= phi["witness"]["phi_at_zero"] == 0.0
         ok &= psi["witness"]["psi_at_zero"] == 0.0
         phi_max.append(phi["value"])

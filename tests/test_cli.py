@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from cubevar import krawtchouk
+from cubevar import cli, krawtchouk
 from cubevar.checks import CHECKS
+from cubevar.core import MAX_DIM
 from cubevar.cli import main, parse_config
 from cubevar.experiments import ExperimentConfig
 
@@ -105,6 +106,9 @@ def test_parity_scan_and_phi_psi(tmp_path, capsys):
     assert main(["parity-scan", "--n", "6", "--r", "3", "--q", "0",
                  "--out", str(tmp_path), "--format", "json"]) == 0
     assert main(["phi-psi", "--n", "6", "--out", str(tmp_path), "--format", "json"]) == 0
+    # Both read only the (n+1) x (n+1) table, so n may exceed MAX_DIM.
+    assert main(["parity-scan", "--n", "40", "--r", "2", "--out", str(tmp_path), "--format", "json"]) == 0
+    assert main(["phi-psi", "--n", "64", "--out", str(tmp_path), "--format", "json"]) == 0
     assert main(["half-spectrum", "--n", "6", "--r", "3", "--trials", "3",
                  "--seed", "1", "--out", str(tmp_path), "--format", "json"]) == 0
 
@@ -143,8 +147,66 @@ def test_threads_flag_keeps_order(tmp_path):
 
 
 def test_env_threads_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("CUBEVAR_THREADS", "2")
-    from cubevar.cli import build_parser
+    seen = []
 
-    args = build_parser().parse_args(["bench", "--n", "2"])
-    assert args.threads == 2
+    def record_threads(fn, items, threads):
+        seen.append(threads)
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "map_ordered", record_threads)
+    monkeypatch.setenv("CUBEVAR_THREADS", "2")
+    for command in ("counterexample", "parity-scan"):
+        assert main([command, "--n", "4", "--out", str(tmp_path), "--format", "json"]) == 0
+    assert main(["parity-scan", "--n", "4", "--threads", "3",
+                 "--out", str(tmp_path), "--format", "json"]) == 0
+    assert seen == [2, 2, 3]
+
+
+@pytest.mark.parametrize("command", ["verify", "kraw-table", "phi-psi", "half-spectrum", "bench"])
+def test_threads_only_where_read(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "6", "--threads", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_malformed_env_threads(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CUBEVAR_THREADS", "abc")
+    assert main(["phi-psi", "--n", "6", "--out", str(tmp_path / "ok"), "--format", "json"]) == 0
+    code = main(["counterexample", "--n", "6", "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert "CUBEVAR_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "counterexample", "half-spectrum"])
+def test_dimension_above_cap_exits_2(tmp_path, capsys, command):
+    code = main([command, "--n", "40", "--out", str(tmp_path)])
+    assert code == 2
+    assert f"1..{MAX_DIM}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setitem(cli.COMMANDS, "phi-psi", exhausted)
+    assert main(["phi-psi", "--n", "6", "--out", str(tmp_path)]) == 2
+    assert "Unable to allocate" in capsys.readouterr().err
+
+
+def test_counterexample_corollary_reads_alpha(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("n_list = 2, 16, 64\nr_list = 2\nalpha = 0.25\n")
+    code = main(["counterexample", "--kind", "corollary", "--config", str(path),
+                 "--out", str(tmp_path), "--format", "json"])
+    assert code == 0
+    report = json.loads((tmp_path / "counterexample-corollary.json").read_text())
+    assert report["parameters"]["alpha"] == 0.25
+    skipped, *ratios = report["records"]
+    assert skipped["n"] == 2 and skipped["metric"] == "corollary_skipped"
+    assert [rec["metric"] for rec in ratios] == ["corollary_ratio"] * 2
+    for rec in ratios:
+        assert rec["witness"]["b_n"] == rec["n"] ** 0.25
+        assert rec["witness"]["satisfied"]

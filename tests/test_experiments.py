@@ -15,8 +15,8 @@ from cubevar import (
     character,
     character_variation,
     counterexample_all_ones,
+    counterexample_corollary,
     counterexample_truncated,
-    corollary_truncation_scan,
     full_vs_parity_norm,
     parity_character_scan,
     phi_scan,
@@ -83,18 +83,26 @@ def test_counterexample_truncated_errors():
 
 def test_character_variation_matches_pipeline():
     n, r = 8, 2.0
-    table = build_table(n)
     for weight in (2, 5, n):
         y = (1 << weight) - 1
-        pipeline = variation_norm_ratio(character(n, y), range(n + 1), r, table)
-        shortcut = character_variation(n, weight, range(n + 1), r, table)
+        pipeline = variation_norm_ratio(character(n, y), range(n + 1), r)
+        shortcut = character_variation(n, weight, range(n + 1), r)
         assert pipeline == pytest.approx(shortcut, rel=1e-9)
 
 
+def test_character_variation_rejects_out_of_range():
+    with pytest.raises(ValueError, match="radius -1"):
+        character_variation(8, 3, [-1, 0], 2.0)
+    with pytest.raises(ValueError, match="radius 9"):
+        character_variation(8, 3, [0, 9], 2.0)
+    for weight in (-1, 9):
+        with pytest.raises(ValueError, match=f"weight {weight}"):
+            character_variation(8, weight, range(9), 2.0)
+
+
 def test_corollary_truncation_scan():
-    cfg = ExperimentConfig(n_list=[16, 36, 64], r_list=[2.0], alpha=0.25)
-    report = corollary_truncation_scan(cfg)
-    ratios = [rec for rec in report.records if rec["metric"] == "corollary_ratio"]
+    records = [counterexample_corollary(n, 2.0, 0.25) for n in (16, 36, 64)]
+    ratios = [rec for rec in records if rec["metric"] == "corollary_ratio"]
     assert len(ratios) == 3
     for rec in ratios:
         w = rec["witness"]
@@ -136,13 +144,13 @@ def test_parity_scan_reflection_symmetry():
 def test_full_vs_parity_norm():
     n, r = 8, 2.0
     f = character(n, (1 << n) - 1)
-    rec = full_vs_parity_norm(n, r, f)
+    rec = full_vs_parity_norm(f, r)
     assert rec["witness"]["full"] == pytest.approx(2 * n ** (1 / r), abs=1e-9)
     assert rec["witness"]["parity"]["0"] == pytest.approx(0.0, abs=1e-10)
     assert rec["witness"]["parity"]["1"] == pytest.approx(0.0, abs=1e-10)
     rng = np.random.default_rng(0)
     g = CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
-    rec = full_vs_parity_norm(n, r, g)
+    rec = full_vs_parity_norm(g, r)
     for v in rec["witness"]["parity"].values():
         assert v <= rec["witness"]["full"] + 1e-12
 
@@ -151,13 +159,13 @@ def test_full_vs_parity_matches_separate_parity_stacks():
     n, r = 9, 3.0
     rng = np.random.default_rng(2)
     g = CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
-    rec = full_vs_parity_norm(n, r, g)
+    rec = full_vs_parity_norm(g, r)
     for q in (0, 1):
         stack = spherical_mean_stack(g, parity_radii(n, q))
         v = vr_pointwise_values(stack, r)
         expected = float(np.sqrt((v**2).sum())) / g.norm(2)
         assert rec["witness"]["parity"][str(q)] == pytest.approx(expected, rel=1e-12)
-    assert full_vs_parity_norm(n, r, g, q=1)["witness"]["parity"] == {"1": rec["witness"]["parity"]["1"]}
+    assert full_vs_parity_norm(g, r, q=1)["witness"]["parity"] == {"1": rec["witness"]["parity"]["1"]}
 
 
 @pytest.mark.parametrize("case", ["character", "halfspectrum", "complex"])
@@ -171,12 +179,11 @@ def test_streamed_ratio_matches_stack(case):
         f = random_halfspectrum_function(n, rng)
     else:                            # every level present: per-row route
         f = CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
-    table = build_table(n)
-    stack = spherical_mean_stack(f, range(n + 1), table)
+    stack = spherical_mean_stack(f, range(n + 1))
     for r in (1.0, 2.0, 3.0):
         v = vr_pointwise_values(stack, r)
         expected = float(np.sqrt((v**2).sum())) / f.norm(2)
-        streamed = variation_norm_ratio(f, range(n + 1), r, table)
+        streamed = variation_norm_ratio(f, range(n + 1), r)
         if r == 3.0:
             assert streamed == pytest.approx(expected, rel=1e-14)
         else:
@@ -192,10 +199,10 @@ def test_streamed_ratio_independent_of_block_width(monkeypatch):
         CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)),
     ]
     expected = [variation_norm_ratio(f, range(n + 1), 3.0) for f in inputs]
-    parity = [full_vs_parity_norm(n, 3.0, f) for f in inputs]
+    parity = [full_vs_parity_norm(f, 3.0) for f in inputs]
     monkeypatch.setattr(core, "BLOCK", 7)
     assert [variation_norm_ratio(f, range(n + 1), 3.0) for f in inputs] == expected
-    assert [full_vs_parity_norm(n, 3.0, f) for f in inputs] == parity
+    assert [full_vs_parity_norm(f, 3.0) for f in inputs] == parity
 
 
 def test_streamed_ratio_holds_no_stack():
@@ -233,9 +240,8 @@ def test_halfspectrum_scan_consistency():
     assert math.isfinite(rec["value"])
     # a single character at weight n/2 is one admissible input, so the scan's
     # character-level value is reproducible directly
-    table = build_table(n)
-    char_value = character_variation(n, n // 2, range(n + 1), r, table)
-    pipeline = variation_norm_ratio(character(n, (1 << (n // 2)) - 1), range(n + 1), r, table)
+    char_value = character_variation(n, n // 2, range(n + 1), r)
+    pipeline = variation_norm_ratio(character(n, (1 << (n // 2)) - 1), range(n + 1), r)
     assert pipeline == pytest.approx(char_value, rel=1e-9)
 
 

@@ -7,7 +7,6 @@ import pytest
 from cubevar import core
 from cubevar import (
     CubeFunction,
-    build_table,
     character,
     check_chain_lemma,
     check_variation_properties,
@@ -140,9 +139,8 @@ def test_chain_lemma_errors():
 def test_vr_pointwise_matches_per_point():
     rng = np.random.default_rng(4)
     n = 6
-    table = build_table(n)
     f = CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
-    means = [spherical_mean_multiplier(f, k, table) for k in range(n + 1)]
+    means = [spherical_mean_multiplier(f, k) for k in range(n + 1)]
     out = vr_pointwise(means, 2.0)
     seqs = np.vstack([m.values for m in means])
     for x in range(0, 1 << n, 5):
@@ -160,8 +158,7 @@ def test_vr_pointwise_on_all_ones_character():
     n = 6
     r = 2.0
     f = character(n, (1 << n) - 1)
-    table = build_table(n)
-    means = [spherical_mean_multiplier(f, k, table) for k in range(n + 1)]
+    means = [spherical_mean_multiplier(f, k) for k in range(n + 1)]
     out = vr_pointwise(means, r)
     assert np.abs(out.values - 2 * n ** (1 / r)).max() < 1e-9
 
