@@ -83,7 +83,7 @@ def _radial_terms(f: CubeFunction, rows):
     else:
         rows = rows * 2.0 ** (-n / 2)
     pc = popcounts(n)
-    levels = np.flatnonzero(np.bincount(pc, weights=spec != 0, minlength=n + 1))
+    levels = np.flatnonzero(np.bincount(pc[spec != 0], minlength=n + 1))
     if len(levels) < len(rows):
         proj = np.zeros((len(levels), spec.size), dtype=spec.dtype)
         for p, w in zip(proj, levels):

@@ -33,20 +33,25 @@ def _check_order(r: float) -> None:
         raise ValueError(f"variation order r must be finite and >= 1, got {r}")
 
 
-def _unit_shift(top):
-    """Exponent s with top * 2^s < 1/2 (top >= 0, elementwise).
+def _unit_shift(spread, first):
+    """Exponent s by which a sequence is scaled, by 2^s, before its DP
+    (elementwise).
 
-    Scaling a sequence whose largest |value| is `top` by 2^s brings every
-    |jump| below 1, so no |jump|^r overflows and large or tiny sequences
-    (1e200, 1e-120) keep their r-th powers in range.  V_r is 1-homogeneous
-    and a power of two scales exactly, so V_r of the scaled sequence times
-    2^-s is V_r of the sequence up to the rounding of the r-th powers and
-    root (none for r = 1, nor for r = 2 where the root is `np.sqrt`).
-    s is capped at 1023 so that 2^s is a finite double.
+    `spread` is max_j |a_j - a_0| and `first` is |a_0|.  With s from the
+    spread, spread * 2^s < 1/2, so every |jump| (at most twice the spread)
+    is below 1: no |jump|^r overflows, and sequences whose jumps are large
+    or tiny against 1 (1e200, 1e-120) or against their values (1 and
+    1 + 2^-20) keep their r-th powers in range.  The cap from |a_0| keeps
+    every scaled value below 2^1022 (|a_j| <= |a_0| + spread); complex
+    values whose spread is far below their size need it.  V_r is
+    1-homogeneous and a power of two scales exactly, so V_r of the scaled
+    sequence times 2^-s is V_r of the sequence up to the rounding of the
+    r-th powers and root (none for r = 1, nor for r = 2 where the root is
+    `np.sqrt`).  s is at most 1023 so that 2^s is a finite double.
     """
-    if isinstance(top, float):           # one sequence: skip numpy's scalar overhead
-        return min(-(math.frexp(top)[1] + 1), 1023)
-    return np.minimum(-(np.frexp(top)[1] + 1), 1023)
+    if isinstance(spread, float):        # one sequence: skip numpy's scalar overhead
+        return min(-(math.frexp(spread)[1] + 1), 1021 - math.frexp(first)[1], 1023)
+    return np.minimum(np.minimum(-(np.frexp(spread)[1] + 1), 1021 - np.frexp(first)[1]), 1023)
 
 
 def vr_exact(values, r: float, labels=None) -> VariationResult:
@@ -61,7 +66,7 @@ def vr_exact(values, r: float, labels=None) -> VariationResult:
         raise ValueError("variation of an empty sequence is undefined")
     _check_order(r)
     a = a.tolist()            # Python complex: scalar arithmetic without numpy overhead
-    shift = _unit_shift(max(map(abs, a)))
+    shift = _unit_shift(max(abs(v - a[0]) for v in a), abs(a[0]))
     scale = math.ldexp(1.0, shift)
     a = [v * scale for v in a]
     m = len(a)
@@ -121,22 +126,24 @@ def vr_pointwise_values(stack: np.ndarray, r: float) -> np.ndarray:
     diff = np.empty(width, dtype=scaled.dtype) if np.iscomplexobj(scaled) else None
     best = np.empty((m, width))
     cand = np.empty(width)
+    square = np.empty(width)
     out = np.empty(size)
     for start in range(0, size, width):
         block = stack[:, start:start + width]
         w = block.shape[1]
         _vr_block(block, r, scaled[:, :w], None if diff is None else diff[:w],
-                  best[:, :w], cand[:w], out[start:start + w])
+                  best[:, :w], cand[:w], square[:w], out[start:start + w])
     return out
 
 
-def _vr_block(block, r, scaled, diff, best, cand, out) -> None:
+def _vr_block(block, r, scaled, diff, best, cand, square, out) -> None:
     """V_r of each column of `block` into `out`; the other arguments are
     scratch buffers of the block's width (`diff` only for complex input)."""
-    np.abs(block[0], out=out)            # out holds max |value| until the end
+    out.fill(0.0)                        # out holds max_j |a_j - a_0| until the end
     for row in block[1:]:
-        np.maximum(out, np.abs(row, out=cand), out=out)
-    shift = _unit_shift(out)
+        np.abs(np.subtract(row, block[0], out=cand if diff is None else diff), out=cand)
+        np.maximum(out, cand, out=out)
+    shift = _unit_shift(out, np.abs(block[0], out=cand))
     np.multiply(block, np.ldexp(1.0, shift), out=scaled)
     best[0] = 0.0
     for j in range(1, len(block)):
@@ -152,6 +159,8 @@ def _vr_block(block, r, scaled, diff, best, cand, out) -> None:
                 np.abs(np.subtract(scaled[i], scaled[j], out=diff), out=jump)
             if r == 2:
                 np.multiply(jump, jump, out=jump)
+            elif r == 3:
+                np.multiply(jump, np.multiply(jump, jump, out=square), out=jump)
             elif r != 1:
                 np.power(jump, r, out=jump)
             if i:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cubevar import (
     convolve,
     delta,
     fourier,
+    fwht,
     inverse_fourier,
     length,
     popcounts,
@@ -156,3 +158,99 @@ def test_json_round_trip():
     g = CubeFunction.from_json(f.to_json())
     assert g.n == f.n and g.side == f.side
     assert np.abs(g.values - f.values).max() < 1e-15
+
+
+def butterfly(values):
+    """Oracle: the radix-2 Walsh-Hadamard transform, in place and unnormalized."""
+    size = values.shape[0]
+    h = 1
+    while h < size:
+        b = values.reshape(-1, 2, h)
+        top = b[:, 0, :].copy()
+        b[:, 0, :] = top + b[:, 1, :]
+        b[:, 1, :] = top - b[:, 1, :]
+        h *= 2
+    return values
+
+
+def rand_buffer(n, complex_, rng):
+    x = rng.standard_normal(1 << n)
+    return x + 1j * rng.standard_normal(1 << n) if complex_ else x
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_fwht_matches_butterfly(n, complex_):
+    x = rand_buffer(n, complex_, np.random.default_rng(n))
+    got = fwht(x.copy())
+    want = butterfly(x.copy())
+    tol = 4 * np.finfo(float).eps * 2 ** (n / 2) * np.linalg.norm(x)
+    assert np.abs(got - want).max() <= tol
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 14, 17])
+def test_fwht_bit_exact_on_integers(n):
+    rng = np.random.default_rng(100 + n)
+    for y in (0, 1, (1 << n) - 1, int(rng.integers(1 << n))):
+        chi = character(n, y).values
+        expected = np.zeros(1 << n)
+        expected[y] = 1 << n
+        assert np.array_equal(fwht(chi.real.copy()), expected)
+        assert np.array_equal(fwht(chi.copy()), expected)
+    ints = rng.integers(-8, 9, size=(2, 1 << n))
+    exact = butterfly(ints[0].copy()), butterfly(ints[1].copy())
+    assert np.array_equal(fwht(ints[0].astype(float)), exact[0])
+    assert np.array_equal(fwht(ints[0] + 1j * ints[1]), exact[0] + 1j * exact[1])
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("n", [0, 4, 11, 14])
+def test_fwht_is_in_place(n, complex_):
+    rng = np.random.default_rng(n)
+    base = rand_buffer(n + 1, complex_, rng)
+    before = base.copy()
+    x = base[: 1 << n]                      # a contiguous view into a larger buffer
+    out = fwht(x)
+    assert out is x
+    np.testing.assert_allclose(base[: 1 << n], butterfly(before[: 1 << n].copy()),
+                               rtol=0, atol=1e-12 * (1 << n))
+    assert np.array_equal(base[1 << n:], before[1 << n:])
+
+
+@pytest.mark.parametrize("n", [1, 5, 13, 16])
+def test_fwht_involution(n):
+    rng = np.random.default_rng(n)
+    ints = rng.integers(-100, 101, size=1 << n) + 1j * rng.integers(-100, 101, size=1 << n)
+    assert np.array_equal(fwht(fwht(ints.copy())), ints * (1 << n))
+    x = rand_buffer(n, False, rng)
+    back = fwht(fwht(x.copy())) / (1 << n)
+    assert np.abs(back - x).max() <= 1e-13 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("n", [6, 15, 18])
+def test_fwht_allocates_one_scratch_buffer(n, complex_):
+    x = rand_buffer(n, complex_, np.random.default_rng(n))
+    fwht(x)                                 # build the cached factors first
+    tracemalloc.start()
+    try:
+        fwht(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.nbytes <= peak <= x.nbytes + 16384
+
+
+def test_fwht_rejects_bad_buffers():
+    for size in (0, 3, 12):
+        with pytest.raises(ValueError, match="power of two"):
+            fwht(np.zeros(size))
+    x = np.arange(16.0)
+    with pytest.raises(ValueError, match="contiguous"):
+        fwht(x[::2])
+    assert np.array_equal(x, np.arange(16.0))
+    with pytest.raises(ValueError, match="contiguous"):
+        fwht(np.zeros((4, 4)))
+    for dtype in (np.int64, np.float32, np.complex64):
+        with pytest.raises(ValueError, match="float64 or complex128"):
+            fwht(np.zeros(8, dtype=dtype))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubevar import core
 from cubevar import (
@@ -202,3 +204,74 @@ def test_vr_pointwise_independent_of_block_width(monkeypatch):
             assert np.array_equal(vr_pointwise_values(s, r), v)
         x = int(rng.integers(points))
         assert values[1][x] == pytest.approx(vr_exact(s[:, x], 2.0).value, rel=1e-12)
+
+
+def test_vr_large_r_does_not_underflow():
+    # jumps of 2^-20 against values near 1: scaling by the largest |value|
+    # left (2^-21)^100, which flushes to zero
+    assert vr_exact([1, 1 + 2**-20], 100).value == 2**-20
+    assert vr_pointwise_values(np.array([[1.0], [1 + 2**-20]]), 100)[0] == 2**-20
+    # a spread far below the values' size must not overflow the scaled values
+    seq = np.array([1e300, 1e300 + 1e-300j, 1e300])
+    assert math.isfinite(vr_exact(seq, 3).value)
+    assert np.isfinite(vr_pointwise_values(seq[:, None], 3)).all()
+
+
+# Property tests: each V_r route (the scalar DP and one column through the
+# pointwise DP) against the brute-force oracle on transformed sequences.  The
+# oracle does not scale, so entries are 0 or of size 1e-3..1e3, where no
+# |jump|^r leaves the range of a double.
+ORDERS = st.sampled_from([1.0, 2.0, 3.0, 2.5])
+ENTRIES = st.floats(-1e3, 1e3).map(lambda v: v if abs(v) >= 1e-3 else 0.0)
+SEQUENCES = st.one_of(
+    st.lists(ENTRIES, min_size=1, max_size=8),
+    st.lists(st.builds(complex, ENTRIES, ENTRIES), min_size=1, max_size=8),
+).map(np.array)
+EPS = np.finfo(float).eps
+
+
+def routes(a, r):
+    return vr_exact(a, r).value, vr_pointwise_values(a[:, None], r)[0]
+
+
+def assert_routes_match(a, r, expected, abs_tol=0.0):
+    for value in routes(a, r):
+        assert value == pytest.approx(expected, rel=1e-12, abs=abs_tol + 1e-300)
+
+
+@settings(deadline=None, max_examples=60)
+@given(SEQUENCES, ORDERS, st.floats(-1e6, 1e6))
+def test_vr_property_homogeneity(a, r, lam):
+    assert_routes_match(lam * a, r, abs(lam) * vr_bruteforce(a, r),
+                        abs_tol=4 * a.size * EPS * abs(lam) * np.abs(a).max(initial=0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(SEQUENCES, ORDERS)
+def test_vr_property_reversal(a, r):
+    assert_routes_match(a[::-1].copy(), r, vr_bruteforce(a, r))
+
+
+@settings(deadline=None, max_examples=60)
+@given(SEQUENCES, ORDERS, st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                             allow_infinity=False))
+def test_vr_property_translation(a, r, shift):
+    # a + shift rounds each entry by at most eps |a_j + shift|, which moves
+    # V_r by at most V_r of those errors, below 2 m times the largest
+    moved = a + shift
+    assert_routes_match(moved, r, vr_bruteforce(a, r),
+                        abs_tol=4 * a.size * EPS * np.abs(moved).max())
+
+
+@settings(deadline=None, max_examples=60)
+@given(SEQUENCES, ORDERS, st.data())
+def test_vr_property_refinement(a, r, data):
+    # dropping points coarsens the chain: V_r can only go down
+    keep = data.draw(st.lists(st.booleans(), min_size=a.size, max_size=a.size))
+    coarse = a[np.array(keep, dtype=bool)]
+    fine = vr_bruteforce(a, r)
+    assert_routes_match(a, r, fine)
+    if coarse.size:
+        assert vr_bruteforce(coarse, r) <= fine * (1 + 1e-12)
+        for value in routes(coarse, r):
+            assert value <= fine * (1 + 1e-12)
