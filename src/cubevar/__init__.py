@@ -40,7 +40,6 @@ from .variation import (
     dyadic_partition,
     vr_bruteforce,
     vr_exact,
-    vr_pointwise,
     vr_pointwise_values,
 )
 from .experiments import (

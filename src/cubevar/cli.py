@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -173,17 +174,16 @@ def cmd_counterexample(args) -> int:
     cfg = _merge_config(args) if args.kind == "corollary" else _cube_config(args)
     threads = _threads(args)
     report = ExperimentReport(f"counterexample-{args.kind}", cfg.as_dict())
-    grid = [(n, r) for n in cfg.n_list for r in cfg.r_list]
 
-    def one(pair):
-        n, r = pair
+    def one(n):
         if args.kind == "all-ones":
-            return counterexample_all_ones(n, r)
+            return counterexample_all_ones(n, cfg.r_list)
         if args.kind == "corollary":
-            return counterexample_corollary(n, r, cfg.alpha)
-        return counterexample_truncated(n, r, math.sqrt(n))
+            return counterexample_corollary(n, cfg.r_list, cfg.alpha)
+        return counterexample_truncated(n, cfg.r_list, math.sqrt(n))
 
-    report.extend(map_ordered(one, grid, threads))
+    for records in map_ordered(one, cfg.n_list, threads):
+        report.extend(records)
     _emit(report, args.out, args.format)
     # A corollary_skipped record (no witness at this n) has no verdict.
     violated = any(not rec["witness"].get("satisfied", True) for rec in report.records)
@@ -215,37 +215,57 @@ def cmd_half_spectrum(args) -> int:
     cfg = _cube_config(args)
     report = ExperimentReport("half-spectrum", cfg.as_dict())
     for n in cfg.n_list:
-        for r in cfg.r_list:
-            report.add(proposition_halfspectrum_scan(n, r, cfg.trials, cfg.seed))
+        report.extend(proposition_halfspectrum_scan(n, cfg.r_list, cfg.trials, cfg.seed))
     _emit(report, args.out, args.format)
     return 0
+
+
+#: Seconds of FWHTs `bench` runs before its first timing.  On a 2-vCPU VM,
+#: OpenBLAS ran about 10x slow for the first second of some processes, a
+#: phase that one warm-up call and three repeats of a 2^20 FWHT still fell in.
+WARMUP_S = 1.0
+
+
+def _warm_up() -> None:
+    """Run normalized complex FWHTs of 2^16 points for WARMUP_S seconds."""
+    buf = np.ones(1 << 16, dtype=np.complex128)
+    stop = time.perf_counter() + WARMUP_S
+    while time.perf_counter() < stop:
+        fwht(buf)
+        buf *= 2.0 ** -8
+
+
+def _timed(fn, repeats: int = 3):
+    """Median seconds of `repeats` calls of fn after one warm-up call, and
+    the last call's result."""
+    fn()
+    times = []
+    for _ in range(repeats):
+        result = None                    # free the last result before the next call
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times), result
 
 
 def cmd_bench(args) -> int:
     cfg = _cube_config(args)
     report = ExperimentReport("bench", cfg.as_dict())
     rng = np.random.default_rng(cfg.seed)
+    _warm_up()
     for n in cfg.n_list:
         size = 1 << n
         buf = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        t0 = time.perf_counter()
-        fwht(buf)
-        t_fwht = time.perf_counter() - t0
+        t_fwht, _ = _timed(lambda: fwht(buf))
         report.add({"n": n, "metric": "fwht_seconds", "value": t_fwht,
                     "witness": {"throughput_elems_per_s": size / t_fwht}})
         f = CubeFunction(n, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-        t0 = time.perf_counter()
-        stack = spherical_mean_stack(f, range(n + 1))
-        t_sweep = time.perf_counter() - t0
+        t_sweep, stack = _timed(lambda: spherical_mean_stack(f, range(n + 1)))
         report.add({"n": n, "metric": "spherical_sweep_seconds", "value": t_sweep})
-        t0 = time.perf_counter()
-        vr_pointwise_values(stack, 2.0)
-        t_vr = time.perf_counter() - t0
+        t_vr, _ = _timed(lambda: vr_pointwise_values(stack, 2.0))
         report.add({"n": n, "r": 2.0, "metric": "vr_pointwise_seconds", "value": t_vr})
         del stack
-        t0 = time.perf_counter()
-        variation_norm_ratio(f, range(n + 1), 2.0)
-        t_ratio = time.perf_counter() - t0
+        t_ratio, _ = _timed(lambda: variation_norm_ratio(f, range(n + 1), 2.0))
         report.add({"n": n, "r": 2.0, "metric": "variation_ratio_seconds", "value": t_ratio})
     _emit(report, args.out, args.format)
     return 0
@@ -262,6 +282,28 @@ COMMANDS = {
 }
 
 
+#: Per-command flags beyond --n, --config, --out and --format: each command
+#: takes only what it reads, except that counterexample also takes --seed,
+#: unread, because perfbench appends --seed to every command it runs.
+COMMAND_FLAGS = {
+    "verify": ("seed", "trials"),
+    "kraw-table": (),
+    "counterexample": ("r", "seed", "threads", "kind"),
+    "parity-scan": ("r", "q", "threads"),
+    "phi-psi": (),
+    "half-spectrum": ("r", "seed", "trials"),
+    "bench": ("seed",),
+}
+FLAG_ARGS = {
+    "r": {"help": "variation order or comma list"},
+    "q": {"type": int, "choices": (0, 1), "help": "radius parity"},
+    "seed": {"type": int, "help": "64-bit reproducibility seed"},
+    "trials": {"type": int, "help": "random trial count"},
+    "threads": {"type": int, "help": "default: CUBEVAR_THREADS, then CPU count"},
+    "kind": {"choices": ("all-ones", "truncated", "corollary"), "default": "all-ones"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubevar",
@@ -271,17 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--n", help="dimension or comma list of dimensions")
-        p.add_argument("--r", help="variation order or comma list")
-        p.add_argument("--q", type=int, choices=(0, 1), help="radius parity")
-        p.add_argument("--seed", type=int, help="64-bit reproducibility seed")
-        p.add_argument("--trials", type=int, help="random trial count")
+        for flag in COMMAND_FLAGS[name]:
+            p.add_argument(f"--{flag}", **FLAG_ARGS[flag])
         p.add_argument("--config", help="plain key=value config file")
         p.add_argument("--out", default="reports", help="output directory")
         p.add_argument("--format", choices=("json", "csv", "both"), default="both")
-        if name in ("counterexample", "parity-scan"):
-            p.add_argument("--threads", type=int, help="default: CUBEVAR_THREADS, then CPU count")
-        if name == "counterexample":
-            p.add_argument("--kind", choices=("all-ones", "truncated", "corollary"), default="all-ones")
     return parser
 
 

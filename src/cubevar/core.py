@@ -42,8 +42,8 @@ def check_dim(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def popcounts(n: int) -> np.ndarray:
-    """Array of |x| for every x in {0, ..., 2^n - 1} (read-only, cached)."""
-    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+    """Array of |x| for every x in {0, ..., 2^n - 1} (uint8, read-only, cached)."""
+    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
     pc.setflags(write=False)
     return pc
 

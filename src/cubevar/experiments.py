@@ -96,15 +96,19 @@ class ExperimentReport:
                 )
 
 
-def variation_norm_ratio(f: CubeFunction, radii, r: float) -> float:
+def variation_norm_ratio(f: CubeFunction, radii, r):
     """|| V_r(S_k f : k in radii) ||_2 / ||f||_2 via the full pipeline: each
     block of spherical means goes through the pointwise DP as it is made, so
-    neither the (|radii|, 2^n) stack nor a DP table over every point is held."""
+    neither the (|radii|, 2^n) stack nor a DP table over every point is held.
+
+    `r` is one order, for one ratio, or a sequence of orders, for a list of
+    ratios in the given order; every order is filled from one stream."""
     norm_f = _nonzero_norm(f)
-    v = np.empty(1 << f.n)
+    v = np.empty((np.size(r), 1 << f.n))
     for cols, block in spherical_mean_blocks(f, radii):
-        v[cols] = vr_pointwise_values(block, r)
-    return _l2_ratio(v, norm_f)
+        v[:, cols] = vr_pointwise_values(block, np.ravel(r))
+    ratios = [_l2_ratio(row, norm_f) for row in v]
+    return ratios if np.ndim(r) else ratios[0]
 
 
 def _nonzero_norm(f: CubeFunction) -> float:
@@ -116,8 +120,9 @@ def _nonzero_norm(f: CubeFunction) -> float:
 
 def _l2_ratio(v: np.ndarray, norm_f: float) -> float:
     """||v||_2 / norm_f, reduced once over all 2^n points so the summation
-    order (and so every output bit) does not depend on the block width."""
-    return float(np.sqrt((v**2).sum())) / norm_f
+    order (and so every output bit) does not depend on the block width.
+    Squares `v` in place."""
+    return float(np.sqrt(np.square(v, out=v).sum())) / norm_f
 
 
 def character_variation(n: int, weight: int, radii, r: float) -> float:
@@ -128,25 +133,29 @@ def character_variation(n: int, weight: int, radii, r: float) -> float:
     return vr_exact(_kraw_rows(n, radii)[:, weight], r).value
 
 
-def counterexample_all_ones(n: int, r: float) -> dict:
-    """Full-range variation ratio for the all-ones character; the proven lower
-    bound is 2 n^{1/r}, attained with equality."""
+def counterexample_all_ones(n: int, r_list) -> list:
+    """Full-range variation ratio for the all-ones character, one record per
+    order in r_list; the proven lower bound is 2 n^{1/r}, attained with
+    equality."""
     f = character(n, (1 << n) - 1)
-    ratio = variation_norm_ratio(f, range(n + 1), r)
-    bound = 2.0 * n ** (1.0 / r)
-    return {
-        "n": n,
-        "r": r,
-        "q": None,
-        "metric": "all_ones_ratio",
-        "value": ratio,
-        "witness": {"weight": n, "lower_bound": bound, "satisfied": bool(ratio >= bound - 1e-9)},
-    }
+    records = []
+    for r, ratio in zip(r_list, variation_norm_ratio(f, range(n + 1), r_list)):
+        bound = 2.0 * n ** (1.0 / r)
+        records.append({
+            "n": n,
+            "r": r,
+            "q": None,
+            "metric": "all_ones_ratio",
+            "value": ratio,
+            "witness": {"weight": n, "lower_bound": bound, "satisfied": bool(ratio >= bound - 1e-9)},
+        })
+    return records
 
 
-def counterexample_truncated(n: int, r: float, a_n: float) -> dict:
+def counterexample_truncated(n: int, r_list, a_n: float) -> list:
     """Variation ratio for a character of the largest admissible weight below n
-    (requires a_n >= 1 so that weight n-1 satisfies |y| >= n - a_n)."""
+    (requires a_n >= 1 so that weight n-1 satisfies |y| >= n - a_n), one
+    record per order in r_list."""
     if a_n < 1.0 / 3.0:
         raise ValueError("truncation sequence must satisfy a_n >= 1/3")
     if a_n < 1.0:
@@ -154,30 +163,33 @@ def counterexample_truncated(n: int, r: float, a_n: float) -> dict:
     weight = n - 1
     y = (1 << weight) - 1
     f = character(n, y)
-    ratio = variation_norm_ratio(f, range(n + 1), r)
-    bound = (2.0 / 3.0) * math.floor(n / (3.0 * a_n)) ** (1.0 / r)
-    return {
-        "n": n,
-        "r": r,
-        "q": None,
-        "metric": "truncated_ratio",
-        "value": ratio,
-        "witness": {
-            "weight": weight,
-            "a_n": a_n,
-            "lower_bound": bound,
-            "satisfied": bool(ratio >= bound - 1e-12),
-        },
-    }
+    records = []
+    for r, ratio in zip(r_list, variation_norm_ratio(f, range(n + 1), r_list)):
+        bound = (2.0 / 3.0) * math.floor(n / (3.0 * a_n)) ** (1.0 / r)
+        records.append({
+            "n": n,
+            "r": r,
+            "q": None,
+            "metric": "truncated_ratio",
+            "value": ratio,
+            "witness": {
+                "weight": weight,
+                "a_n": a_n,
+                "lower_bound": bound,
+                "satisfied": bool(ratio >= bound - 1e-12),
+            },
+        })
+    return records
 
 
-def counterexample_corollary(n: int, r: float, alpha: float) -> dict:
-    """A witness excluded from E_n = {|y| >= n - b_n} whose ratio still diverges.
+def counterexample_corollary(n: int, r_list, alpha: float) -> list:
+    """A witness excluded from E_n = {|y| >= n - b_n} whose ratio still
+    diverges, one record per order in r_list.
 
     Uses b_n = n^alpha, d_n = max(1/9, b_n), a_n = sqrt(n d_n), and the witness
     weight ceil(n - d_n) - 1; the ratio is evaluated on the multiplier sequence
     of the witness character.  The weight lies below n - d_n, outside E_n, by
-    construction.  Where it is not admissible (small n) the record is
+    construction.  Where it is not admissible (small n) the records are
     `corollary_skipped`, with a NaN value.
     """
     b_n = n**alpha
@@ -185,31 +197,37 @@ def counterexample_corollary(n: int, r: float, alpha: float) -> dict:
     a_n = math.sqrt(n * d_n)
     weight = math.ceil(n - d_n) - 1
     if weight < 0 or weight < n - a_n:
-        return {
+        return [
+            {
+                "n": n,
+                "r": r,
+                "q": None,
+                "metric": "corollary_skipped",
+                "value": float("nan"),
+                "witness": {"weight": weight, "reason": "witness construction impossible"},
+            }
+            for r in r_list
+        ]
+    records = []
+    for r in r_list:
+        ratio = character_variation(n, weight, range(n + 1), r)
+        bound = (2.0 / 3.0) * math.floor(n / (3.0 * a_n)) ** (1.0 / r)
+        records.append({
             "n": n,
             "r": r,
             "q": None,
-            "metric": "corollary_skipped",
-            "value": float("nan"),
-            "witness": {"weight": weight, "reason": "witness construction impossible"},
-        }
-    ratio = character_variation(n, weight, range(n + 1), r)
-    bound = (2.0 / 3.0) * math.floor(n / (3.0 * a_n)) ** (1.0 / r)
-    return {
-        "n": n,
-        "r": r,
-        "q": None,
-        "metric": "corollary_ratio",
-        "value": ratio,
-        "witness": {
-            "weight": weight,
-            "b_n": b_n,
-            "d_n": d_n,
-            "a_n": a_n,
-            "lower_bound": bound,
-            "satisfied": bool(ratio >= bound - 1e-12),
-        },
-    }
+            "metric": "corollary_ratio",
+            "value": ratio,
+            "witness": {
+                "weight": weight,
+                "b_n": b_n,
+                "d_n": d_n,
+                "a_n": a_n,
+                "lower_bound": bound,
+                "satisfied": bool(ratio >= bound - 1e-12),
+            },
+        })
+    return records
 
 
 def parity_radii(n: int, q: int) -> list:
@@ -271,24 +289,29 @@ def random_halfspectrum_function(n: int, rng) -> CubeFunction:
     return CubeFunction(n, spec, SPECTRAL)
 
 
-def proposition_halfspectrum_scan(n: int, r: float, trials: int, seed: int) -> dict:
-    """Random-search lower bound for the half-spectrum operator quantity; the
-    recorded maximum is a lower bound only."""
+def proposition_halfspectrum_scan(n: int, r_list, trials: int, seed: int) -> list:
+    """Random-search lower bound for the half-spectrum operator quantity, one
+    record per order in r_list; every order is evaluated on the same draws,
+    and each recorded maximum is a lower bound only."""
     if n < 2:
         raise ValueError("need n >= 2")
     rng = np.random.default_rng(seed)
-    best = 0.0
+    best = [0.0] * len(r_list)
     for _ in range(trials):
         f = random_halfspectrum_function(n, rng)
-        best = max(best, variation_norm_ratio(f, range(n + 1), r))
-    return {
-        "n": n,
-        "r": r,
-        "q": None,
-        "metric": "halfspectrum_random_max",
-        "value": best,
-        "witness": {"trials": trials, "seed": seed, "kind": "lower_bound"},
-    }
+        ratios = variation_norm_ratio(f, range(n + 1), r_list)
+        best = [max(b, ratio) for b, ratio in zip(best, ratios)]
+    return [
+        {
+            "n": n,
+            "r": r,
+            "q": None,
+            "metric": "halfspectrum_random_max",
+            "value": value,
+            "witness": {"trials": trials, "seed": seed, "kind": "lower_bound"},
+        }
+        for r, value in zip(r_list, best)
+    ]
 
 
 def dyadic_radii(n: int) -> list:

@@ -70,20 +70,29 @@ def _radial_terms(f: CubeFunction, rows):
     rows, each non-zero level projection is inverse-transformed once and the
     result is `coef @ terms`, with coef the (m, levels) columns of the rows;
     otherwise each row takes one inverse transform, coef is None and terms is
-    the (m, 2^n) result itself.  Float64 throughout when f is real.
+    the (m, 2^n) result itself.  Float64 throughout when f is real.  A
+    single-level f is its own level projection: on the physical side terms
+    is f itself, with no transform back, and on the spectral side its
+    spectrum is transformed in place.
     """
     n = f.n
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != n + 1:
         raise ValueError(f"multiplier matrix of shape {rows.shape} does not match n={n}")
-    spec = (f.values if f.values.imag.any() else f.values.real).copy()
+    values = f.values if f.values.imag.any() else f.values.real
+    spec = values.copy()
     if f.side == PHYSICAL:
         fwht(spec)
-        rows = rows * 2.0 ** -n          # both transforms' 2^{-n/2}, folded in
+        scale = 2.0 ** -n                # both transforms' 2^{-n/2}, folded in
     else:
-        rows = rows * 2.0 ** (-n / 2)
+        scale = 2.0 ** (-n / 2)
     pc = popcounts(n)
     levels = np.flatnonzero(np.bincount(pc[spec != 0], minlength=n + 1))
+    if len(levels) == 1 < len(rows):
+        if f.side == PHYSICAL:
+            return rows[:, levels], values[None]
+        return rows[:, levels] * scale, fwht(spec)[None]
+    rows = rows * scale
     if len(levels) < len(rows):
         proj = np.zeros((len(levels), spec.size), dtype=spec.dtype)
         for p, w in zip(proj, levels):
@@ -93,7 +102,7 @@ def _radial_terms(f: CubeFunction, rows):
         return rows[:, levels], proj
     out = np.empty((len(rows), spec.size), dtype=spec.dtype)
     for o, row in zip(out, rows):
-        np.multiply(spec, row[pc], out=o)
+        np.multiply(spec, np.take(row, pc), out=o)   # take: row[pc] is 2x slower on uint8
         fwht(o)
     return None, out
 

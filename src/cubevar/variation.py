@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import PHYSICAL, CubeFunction
 
 
 @dataclass
@@ -108,82 +107,107 @@ def vr_bruteforce(values, r: float) -> float:
     return best ** (1.0 / r)
 
 
-def vr_pointwise_values(stack: np.ndarray, r: float) -> np.ndarray:
+def _orders(r) -> list:
+    """The orders in `r` (one order or a sequence of them), each checked."""
+    orders = [float(x) for x in np.ravel(r)]
+    if not orders:
+        raise ValueError("need at least one variation order")
+    for x in orders:
+        _check_order(x)
+    return orders
+
+
+#: The pass order of `_vr_block`: orders other than 2 and 3 first, as they
+#: read the jump; then 3, which overwrites the jump with its cube; then 2,
+#: which reads and overwrites the square (or the jump, without r = 3).
+_PASS = {3.0: 1, 2.0: 2}
+
+
+def vr_pointwise_values(stack: np.ndarray, r) -> np.ndarray:
     """Vectorized r-variation across axis 0 of a (sequence, points) matrix.
 
-    The DP runs over column blocks of `core.BLOCK` points in buffers
-    allocated once per call.  Each point's column is scaled by its own power
-    of two first (`_unit_shift`), so the result does not depend on the block
-    width.
+    `r` is one order, for one value per point, or a sequence of orders, for
+    one row per order in the given order; every order is computed in the same
+    pass over the stack.  The DP runs over column blocks of `core.BLOCK`
+    points in buffers allocated once per call.  Each point's column is scaled
+    by its own power of two first (`_unit_shift`), so the result does not
+    depend on the block width.
     """
     stack = np.asarray(stack)
     if stack.ndim != 2 or stack.shape[0] == 0:
         raise ValueError("expected a nonempty (sequence, points) matrix")
-    _check_order(r)
+    orders = _orders(r)
+    distinct = sorted(set(orders), key=lambda x: _PASS.get(x, 0))
     m, size = stack.shape
     width = max(1, min(size, core.BLOCK))
     scaled = np.empty((m, width), dtype=np.result_type(stack, np.float64))
-    diff = np.empty(width, dtype=scaled.dtype) if np.iscomplexobj(scaled) else None
-    best = np.empty((m, width))
-    cand = np.empty(width)
-    square = np.empty(width)
-    out = np.empty(size)
+    best = np.empty((sum(x != 1 for x in distinct), m, width))
+    jump, square, cand = np.empty((3, width))
+    diff = np.empty(width, dtype=scaled.dtype) if np.iscomplexobj(scaled) else jump
+    out = np.empty((len(distinct), size))
     for start in range(0, size, width):
         block = stack[:, start:start + width]
         w = block.shape[1]
-        _vr_block(block, r, scaled[:, :w], None if diff is None else diff[:w],
-                  best[:, :w], cand[:w], square[:w], out[start:start + w])
-    return out
+        _vr_block(block, distinct, scaled[:, :w], diff[:w], best[:, :, :w],
+                  jump[:w], square[:w], cand[:w], out[:, start:start + w])
+    if np.ndim(r) == 0:
+        return out[0]
+    return out[[distinct.index(x) for x in orders]]
 
 
-def _vr_block(block, r, scaled, diff, best, cand, square, out) -> None:
-    """V_r of each column of `block` into `out`; the other arguments are
-    scratch buffers of the block's width (`diff` only for complex input)."""
-    out.fill(0.0)                        # out holds max_j |a_j - a_0| until the end
+def _vr_block(block, orders, scaled, diff, best, jump, square, cand, out) -> None:
+    """V_r of each column of `block` into row k of `out`, r the k-th order.
+
+    `orders` are distinct and in the pass order `_PASS`.  The other arguments
+    are scratch buffers of the block's width: `diff` is `jump` itself unless
+    the input is complex, and `best` holds one (sequence, points) DP table
+    per order other than 1.  Each pair's jump |s_i - s_j| is formed once and
+    serves every order; r = 2 and r = 3 share its square.  Each order's term
+    is summed and compared in place: on 2^14 doubles a ufunc that writes a
+    third buffer took twice as long as one that writes an input.  V_1 is the
+    sum of the adjacent jumps: refining a chain never lowers its 1-variation.
+    """
+    spread = out[0]                      # max_j |a_j - a_0| until the DP starts
+    spread.fill(0.0)
     for row in block[1:]:
-        np.abs(np.subtract(row, block[0], out=cand if diff is None else diff), out=cand)
-        np.maximum(out, cand, out=out)
-    shift = _unit_shift(out, np.abs(block[0], out=cand))
+        np.abs(np.subtract(row, block[0], out=diff), out=cand)
+        np.maximum(spread, cand, out=spread)
+    shift = _unit_shift(spread, np.abs(block[0], out=cand))
     np.multiply(block, np.ldexp(1.0, shift), out=scaled)
-    best[0] = 0.0
+    sums = [k for k, r in enumerate(orders) if r == 1]
+    chains = [(k, r) for k, r in enumerate(orders) if r != 1]
+    out[sums] = 0.0
+    best[:, 0] = 0.0
+    signed = np.isrealobj(diff) and orders == [2.0]
+    cube = 3.0 in orders
+    # a complex jump is subtracted as its float64 (re, im) pairs
+    flat, flat_diff = scaled.view(np.float64), diff.view(np.float64)
     for j in range(1, len(block)):
-        for i in range(j):
-            # best[j] = max over i < j of |s_i - s_j|^r + best[i]; every
-            # term is >= 0, so the i = 0 term starts the maximum
-            jump = best[j] if i == 0 else cand
-            if diff is None:
-                np.subtract(scaled[i], scaled[j], out=jump)
-                if r != 2:
-                    np.abs(jump, out=jump)
-            else:
-                np.abs(np.subtract(scaled[i], scaled[j], out=diff), out=jump)
-            if r == 2:
-                np.multiply(jump, jump, out=jump)
-            elif r == 3:
-                np.multiply(jump, np.multiply(jump, jump, out=square), out=jump)
-            elif r != 1:
-                np.power(jump, r, out=jump)
-            if i:
-                cand += best[i]
-                np.maximum(best[j], cand, out=best[j])
-    np.max(best, axis=0, out=out)
-    if r != 1:
-        out **= 1.0 / r
+        for i in range(j) if chains else (j - 1,):
+            np.subtract(flat[i], flat[j], out=flat_diff)
+            if not signed:                # a real jump's sign does not change its square
+                np.abs(diff, out=jump)
+            if i == j - 1:
+                for k in sums:
+                    out[k] += jump
+            for (k, r), b in zip(chains, best):
+                if r == 2:
+                    term = square if cube else np.multiply(jump, jump, out=jump)
+                elif r == 3:
+                    term = np.multiply(jump, np.multiply(jump, jump, out=square), out=jump)
+                else:
+                    term = np.power(jump, r, out=cand)
+                # b[j] = max over i < j of |s_i - s_j|^r + b[i]; every term
+                # is >= 0, so the i = 0 term starts the maximum
+                if i == 0:
+                    b[j] = term
+                else:
+                    term += b[i]
+                    np.maximum(b[j], term, out=b[j])
+    for (k, r), b in zip(chains, best):
+        np.max(b, axis=0, out=out[k])
+        out[k] **= 1.0 / r
     np.ldexp(out, -shift, out=out)
-
-
-def vr_pointwise(functions, r: float) -> CubeFunction:
-    """x -> V_r of the sequence of function values at x, as a CubeFunction."""
-    if not functions:
-        raise ValueError("need at least one function")
-    n = functions[0].n
-    for f in functions:
-        if f.n != n:
-            raise ValueError("dimension mismatch in function sequence")
-        if f.side != PHYSICAL:
-            raise ValueError("pointwise variation expects physical-side functions")
-    stack = np.vstack([f.values for f in functions])
-    return CubeFunction(n, vr_pointwise_values(stack, r).astype(np.complex128))
 
 
 def dyadic_floor(t: float) -> float:

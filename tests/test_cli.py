@@ -170,6 +170,33 @@ def test_threads_only_where_read(tmp_path, capsys, command):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["phi-psi", "--r", "3"], ["phi-psi", "--q", "1"],
+                                  ["phi-psi", "--trials", "5"], ["kraw-table", "--seed", "4"],
+                                  ["verify", "--r", "2"], ["bench", "--trials", "3"],
+                                  ["counterexample", "--trials", "3"], ["half-spectrum", "--q", "0"]])
+def test_config_flags_only_where_read(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", "6", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["counterexample", "--kind", "truncated", "--n", "8,10", "--r", "{}"], "counterexample-truncated"),
+    (["half-spectrum", "--n", "6,7", "--trials", "3", "--seed", "2", "--r", "{}"], "half-spectrum"),
+])
+def test_orders_in_one_pass_match_single_runs(tmp_path, argv, name):
+    def records(r_text):
+        out = tmp_path / r_text
+        assert main([arg.format(r_text) for arg in argv] + ["--out", str(out), "--format", "json"]) == 0
+        return json.loads((out / f"{name}.json").read_text())["records"]
+
+    joint = records("3,1,2")
+    single = [rec for r in ("3", "1", "2") for rec in records(r)]
+    key = lambda rec: (rec["n"], [3.0, 1.0, 2.0].index(rec["r"]))
+    assert joint == sorted(single, key=key)
+
+
 def test_malformed_env_threads(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CUBEVAR_THREADS", "abc")
     assert main(["phi-psi", "--n", "6", "--out", str(tmp_path / "ok"), "--format", "json"]) == 0

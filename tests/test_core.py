@@ -32,6 +32,7 @@ def test_length():
 
 def test_popcounts_matches_length():
     pc = popcounts(6)
+    assert pc.dtype == np.uint8
     assert all(pc[x] == length(x) for x in range(64))
 
 

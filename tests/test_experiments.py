@@ -55,20 +55,20 @@ def test_report_serialization(tmp_path):
 
 
 def test_counterexample_all_ones_small():
-    rec = counterexample_all_ones(1, 1.0)
+    [rec] = counterexample_all_ones(1, [1.0])
     assert rec["value"] == pytest.approx(2.0, abs=1e-12)
-    rec = counterexample_all_ones(8, 2.0)
+    [rec] = counterexample_all_ones(8, [2.0])
     assert rec["value"] == pytest.approx(2 * math.sqrt(8), abs=1e-9)
     assert rec["witness"]["satisfied"]
 
 
 def test_counterexample_ratio_grows_with_n():
-    values = [counterexample_all_ones(n, 3.0)["value"] for n in (2, 5, 9)]
+    values = [counterexample_all_ones(n, [3.0])[0]["value"] for n in (2, 5, 9)]
     assert values == sorted(values)
 
 
 def test_counterexample_truncated():
-    rec = counterexample_truncated(16, 2.0, 4.0)
+    [rec] = counterexample_truncated(16, [2.0], 4.0)
     assert rec["witness"]["lower_bound"] == pytest.approx(2.0 / 3.0)
     assert rec["value"] >= rec["witness"]["lower_bound"]
     assert rec["witness"]["satisfied"]
@@ -76,9 +76,9 @@ def test_counterexample_truncated():
 
 def test_counterexample_truncated_errors():
     with pytest.raises(ValueError):
-        counterexample_truncated(8, 2.0, 0.2)
+        counterexample_truncated(8, [2.0], 0.2)
     with pytest.raises(ValueError):
-        counterexample_truncated(8, 2.0, 0.9)
+        counterexample_truncated(8, [2.0], 0.9)
 
 
 def test_character_variation_matches_pipeline():
@@ -101,7 +101,7 @@ def test_character_variation_rejects_out_of_range():
 
 
 def test_corollary_truncation_scan():
-    records = [counterexample_corollary(n, 2.0, 0.25) for n in (16, 36, 64)]
+    records = [rec for n in (16, 36, 64) for rec in counterexample_corollary(n, [2.0], 0.25)]
     ratios = [rec for rec in records if rec["metric"] == "corollary_ratio"]
     assert len(ratios) == 3
     for rec in ratios:
@@ -218,6 +218,21 @@ def test_streamed_ratio_holds_no_stack():
     assert peak < (n + 1) * (1 << n) * 8         # one (n+1) x 2^n float64 stack
 
 
+def test_streamed_orders_hold_no_stack():
+    # n = 18: with two DP orders the pointwise DP holds four (n+1) x BLOCK
+    # buffers, which at n = 16 already add up to one stack
+    n = 18
+    f = character(n, 2**17 - 1)
+    variation_norm_ratio(f, range(n + 1), 2.0)     # fill the table and popcount caches
+    tracemalloc.start()
+    try:
+        variation_norm_ratio(f, range(n + 1), [1.0, 2.0, 3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n + 1) * (1 << n) * 8         # one (n+1) x 2^n float64 stack
+
+
 def test_full_vs_parity_rejects_zero():
     with pytest.raises(ValueError):
         variation_norm_ratio(CubeFunction(3, np.zeros(8)), range(4), 2.0)
@@ -236,7 +251,7 @@ def test_halfspectrum_support_and_norm():
 
 def test_halfspectrum_scan_consistency():
     n, r = 8, 3.0
-    rec = proposition_halfspectrum_scan(n, r, trials=20, seed=7)
+    [rec] = proposition_halfspectrum_scan(n, [r], trials=20, seed=7)
     assert math.isfinite(rec["value"])
     # a single character at weight n/2 is one admissible input, so the scan's
     # character-level value is reproducible directly
