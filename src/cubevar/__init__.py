@@ -4,11 +4,9 @@ from .core import (
     CubeFunction,
     character,
     convolve,
-    delta,
     fourier,
     fwht,
     inverse_fourier,
-    length,
     popcounts,
 )
 from .krawtchouk import (
@@ -22,11 +20,9 @@ from .krawtchouk import (
     kraw_exact,
 )
 from .operators import (
-    antipodal_check,
     apply_radial_multipliers,
     noise_binomial,
     noise_multiplier,
-    reflect,
     semigroup_axioms_check,
     spherical_mean_direct,
     spherical_mean_multiplier,
@@ -49,7 +45,6 @@ from .experiments import (
     counterexample_all_ones,
     counterexample_corollary,
     counterexample_truncated,
-    full_vs_parity_norm,
     parity_character_scan,
     phi_scan,
     proposition_halfspectrum_scan,

@@ -41,21 +41,32 @@ def _random_functions(dims, seed):
 
 
 def _worst_gap(pairs):
-    return max((float(np.abs(a.values - b.values).max()) for a, b in pairs), default=0.0), None
+    """Largest |a - b| over pairs of value arrays."""
+    return max((float(np.abs(a - b).max()) for a, b in pairs), default=0.0), None
 
 
 def spherical_cross_validation(dims, seed):
     """Worst gap of the direct and the multiplier S_k f over every radius k,
     for one random complex f per entry of dims, drawn in order from seed."""
-    return _worst_gap((operators.spherical_mean_direct(f, k), operators.spherical_mean_multiplier(f, k))
+    return _worst_gap((operators.spherical_mean_direct(f, k).values,
+                       operators.spherical_mean_multiplier(f, k).values)
                       for f in _random_functions(dims, seed) for k in range(f.n + 1))
 
 
 def noise_cross_validation(dims, seed):
     """Worst gap of the binomial-mixture and the multiplier N_t f over T_GRID,
     for the same random functions as spherical_cross_validation."""
-    return _worst_gap((operators.noise_binomial(f, t), operators.noise_multiplier(f, t))
+    return _worst_gap((operators.noise_binomial(f, t).values, operators.noise_multiplier(f, t).values)
                       for f in _random_functions(dims, seed) for t in T_GRID)
+
+
+def antipodal_max_violation(dims, seed):
+    """Worst |S_k f(x XOR 1_n) - S_{n-k} f(x)| over k = 0..n/2 and every x,
+    for the same random functions as spherical_cross_validation; one radius
+    pair is held at a time, never the (n+1) x 2^n stack."""
+    return _worst_gap((operators.spherical_mean_multiplier(f, k).values[::-1],
+                       operators.spherical_mean_multiplier(f, f.n - k).values)
+                      for f in _random_functions(dims, seed) for k in range(f.n // 2 + 1))
 
 
 def semigroup_max_violation(cases, seed):
@@ -102,6 +113,7 @@ CHECKS = {measure.__name__: (measure, within, tol) for measure, within, tol in (
     (variation_worst_slack, operator.ge, -1e-10),
     (chain_lemma_worst_slack, operator.ge, -1e-10),
     (dyadic_partition_failures, operator.le, 0),
+    (antipodal_max_violation, operator.lt, 1e-10),
 )}
 
 

@@ -12,6 +12,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -65,7 +66,7 @@ def parse_config(path) -> ExperimentConfig:
 
 def _merge_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    kwargs = cfg.as_dict()
+    kwargs = asdict(cfg)
     for flag, key in FLAG_KEYS.items():
         value = getattr(args, flag, None)
         if value not in (None, ""):
@@ -126,8 +127,9 @@ def cmd_verify(args) -> int:
         "variation_worst_slack": {"trials": min(trials, 200), "seed": seed},
         "chain_lemma_worst_slack": {"cases": [(5, 24, 2.0)], "trials": min(trials, 100), "seed": seed},
         "dyadic_partition_failures": {"scales": range(7)},
+        "antipodal_max_violation": {"dims": [n], "seed": seed},
     }
-    report = ExperimentReport("verify", cfg.as_dict())
+    report = ExperimentReport("verify", asdict(cfg))
     failed = []
     for name in CHECKS:
         res = run_check(name, **sizes[name])
@@ -152,7 +154,7 @@ def cmd_kraw_table(args) -> int:
         path = os.path.join(args.out, f"kraw-table-n{n}.csv")
         table.export_csv(path)
         print(f"kraw-table: n={n} rows={(n + 1) ** 2} -> {path}")
-    report = ExperimentReport("kraw-scans", cfg.as_dict())
+    report = ExperimentReport("kraw-scans", asdict(cfg))
     for n in cfg.n_list:
         if n >= 2:
             report.add({"n": n, "metric": "bound_a_max_ratio", "value": bound_scan_a(n)["value"]})
@@ -173,7 +175,7 @@ def cmd_counterexample(args) -> int:
     # The corollary witness is read off the multiplier sequence alone.
     cfg = _merge_config(args) if args.kind == "corollary" else _cube_config(args)
     threads = _threads(args)
-    report = ExperimentReport(f"counterexample-{args.kind}", cfg.as_dict())
+    report = ExperimentReport(f"counterexample-{args.kind}", asdict(cfg))
 
     def one(n):
         if args.kind == "all-ones":
@@ -193,7 +195,7 @@ def cmd_counterexample(args) -> int:
 def cmd_parity_scan(args) -> int:
     cfg = _merge_config(args)
     threads = _threads(args)
-    report = ExperimentReport("parity-scan", cfg.as_dict())
+    report = ExperimentReport("parity-scan", asdict(cfg))
     parities = (0, 1) if cfg.q is None else (cfg.q,)
     grid = [(n, r, q) for n in cfg.n_list for r in cfg.r_list for q in parities]
     report.extend(map_ordered(lambda t: parity_character_scan(*t), grid, threads))
@@ -203,7 +205,7 @@ def cmd_parity_scan(args) -> int:
 
 def cmd_phi_psi(args) -> int:
     cfg = _merge_config(args)
-    report = ExperimentReport("phi-psi", cfg.as_dict())
+    report = ExperimentReport("phi-psi", asdict(cfg))
     for n in cfg.n_list:
         report.add(phi_scan(n))
         report.add(psi_scan(n))
@@ -213,7 +215,7 @@ def cmd_phi_psi(args) -> int:
 
 def cmd_half_spectrum(args) -> int:
     cfg = _cube_config(args)
-    report = ExperimentReport("half-spectrum", cfg.as_dict())
+    report = ExperimentReport("half-spectrum", asdict(cfg))
     for n in cfg.n_list:
         report.extend(proposition_halfspectrum_scan(n, cfg.r_list, cfg.trials, cfg.seed))
     _emit(report, args.out, args.format)
@@ -250,7 +252,7 @@ def _timed(fn, repeats: int = 3):
 
 def cmd_bench(args) -> int:
     cfg = _cube_config(args)
-    report = ExperimentReport("bench", cfg.as_dict())
+    report = ExperimentReport("bench", asdict(cfg))
     rng = np.random.default_rng(cfg.seed)
     _warm_up()
     for n in cfg.n_list:

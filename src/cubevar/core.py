@@ -7,9 +7,8 @@ flat array of 2^n values, either on the physical side or on the spectral side
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,13 +24,6 @@ MAX_DIM = 26
 #: and the pointwise V_r DP works through its input in blocks this wide, so
 #: neither holds more than (rows x BLOCK) values per buffer.
 BLOCK = 1 << 14
-
-
-def length(x: int) -> int:
-    """Length |x| of a point, i.e. the number of set coordinate bits."""
-    if x < 0:
-        raise ValueError("point index must be nonnegative")
-    return int(x).bit_count()
 
 
 def check_dim(n: int) -> None:
@@ -66,45 +58,31 @@ class CubeFunction:
                 f"value array of shape {self.values.shape} does not match n={self.n}"
             )
 
-    def copy(self) -> "CubeFunction":
-        return CubeFunction(self.n, self.values.copy(), self.side)
-
     def norm(self, p: float = 2) -> float:
         a = np.abs(self.values)
         if p == math.inf:
             return float(a.max())
         return float((a**p).sum() ** (1.0 / p))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "side": self.side,
-                "re": self.values.real.tolist(),
-                "im": self.values.imag.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CubeFunction":
-        obj = json.loads(text)
-        values = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return cls(obj["n"], values, obj["side"])
-
-
-def delta(n: int, x: int = 0) -> CubeFunction:
-    """Indicator of the single point x (physical side)."""
-    values = np.zeros(1 << n, dtype=np.complex128)
-    values[x] = 1.0
-    return CubeFunction(n, values)
-
 
 def character(n: int, y: int) -> CubeFunction:
-    """The character x -> (-1)^{x.y} as a physical-side function."""
+    """The character x -> (-1)^{x.y} as a physical-side function.
+
+    Built with one 2^n complex array and, before it, one uint32 index array
+    and its uint8 popcounts: x & y is formed in place, and the index array
+    is freed before the output is allocated.
+    """
+    check_dim(n)
     if not 0 <= y < (1 << n):
         raise ValueError(f"character index {y} outside cube of dimension {n}")
-    parity = np.bitwise_count(np.arange(1 << n) & y) & 1
-    return CubeFunction(n, 1.0 - 2.0 * parity)
+    x = np.arange(1 << n, dtype=np.uint32)
+    x &= y
+    odd = np.bitwise_count(x)
+    del x
+    odd &= 1
+    values = np.ones(1 << n, dtype=np.complex128)
+    np.copyto(values, -1.0, where=odd.view(bool))
+    return CubeFunction(n, values)
 
 
 #: Widest Kronecker factor of `fwht`, in bits: H_{2^n} is applied as

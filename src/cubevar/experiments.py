@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,9 +42,6 @@ class ExperimentConfig:
             raise ValueError("power-rule exponent must lie in (0, 1)")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -103,19 +100,14 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
 
     `r` is one order, for one ratio, or a sequence of orders, for a list of
     ratios in the given order; every order is filled from one stream."""
-    norm_f = _nonzero_norm(f)
+    norm_f = f.norm(2)
+    if norm_f == 0.0:
+        raise ValueError("ratio undefined for the zero function")
     v = np.empty((np.size(r), 1 << f.n))
     for cols, block in spherical_mean_blocks(f, radii):
         v[:, cols] = vr_pointwise_values(block, np.ravel(r))
     ratios = [_l2_ratio(row, norm_f) for row in v]
     return ratios if np.ndim(r) else ratios[0]
-
-
-def _nonzero_norm(f: CubeFunction) -> float:
-    norm_f = f.norm(2)
-    if norm_f == 0.0:
-        raise ValueError("ratio undefined for the zero function")
-    return norm_f
 
 
 def _l2_ratio(v: np.ndarray, norm_f: float) -> float:
@@ -249,32 +241,6 @@ def parity_character_scan(n: int, r: float, q: int) -> dict:
         "metric": "parity_character_max",
         "value": float(values[argmax]),
         "witness": {"weight": argmax, "per_level": values},
-    }
-
-
-def full_vs_parity_norm(f: CubeFunction, r: float, q: int | None = None) -> dict:
-    """Full-range and parity-restricted variation ratios for one function.
-
-    One stream of full-range blocks serves all three: every parity family's
-    radii are a subset of 0..n, so its means are rows of each block.
-    """
-    n = f.n
-    norm_f = _nonzero_norm(f)
-    parities = (0, 1) if q is None else (q,)
-    families = {"full": slice(None), **{str(qq): parity_radii(n, qq) for qq in parities}}
-    v = {key: np.empty(1 << n) for key in families}
-    for cols, block in spherical_mean_blocks(f, range(n + 1)):
-        for key, rows in families.items():
-            v[key][cols] = vr_pointwise_values(block[rows], r)
-    full = _l2_ratio(v.pop("full"), norm_f)
-    parity = {key: _l2_ratio(vq, norm_f) for key, vq in v.items()}
-    return {
-        "n": n,
-        "r": r,
-        "q": q,
-        "metric": "full_vs_parity",
-        "value": full,
-        "witness": {"full": full, "parity": parity},
     }
 
 

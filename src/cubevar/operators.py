@@ -1,4 +1,4 @@
-"""Spherical means, the noise semigroup, and the cube symmetry operators.
+"""Spherical means and the noise semigroup.
 
 Every spherical mean S_k and every noise operator N_t is a radial spectral
 multiplier, sum_w m(w) P_w f with P_w the projection onto Walsh level w, so all
@@ -15,15 +15,7 @@ import math
 import numpy as np
 
 from . import core
-from .core import (
-    PHYSICAL,
-    CubeFunction,
-    convolve,
-    fourier,
-    fwht,
-    inverse_fourier,
-    popcounts,
-)
+from .core import PHYSICAL, CubeFunction, convolve, fwht, popcounts
 from .krawtchouk import build_table
 
 
@@ -181,15 +173,6 @@ def noise_binomial(f: CubeFunction, t: float) -> CubeFunction:
     return CubeFunction(n, apply_radial_multipliers(f, row[None])[0])
 
 
-def reflect(f: CubeFunction) -> CubeFunction:
-    """The reflection f^(y) -> f^(y XOR 1_n); index reversal on the spectral side."""
-    if f.side != PHYSICAL:
-        raise ValueError("reflect expects a physical-side function")
-    F = fourier(f)
-    F.values = F.values[::-1].copy()
-    return inverse_fourier(F)
-
-
 def semigroup_axioms_check(n: int, t_grid, trials: int = 20, seed: int = 0) -> dict:
     """Worst violation of the four diffusion-semigroup axioms of N_t on random
     inputs: contraction in p = 1, 2, inf; self-adjointness; positivity on
@@ -222,11 +205,3 @@ def semigroup_axioms_check(n: int, t_grid, trials: int = 20, seed: int = 0) -> d
             worst["positivity"] = max(worst["positivity"], float(-npos.values.real.min()))
     worst["max_violation"] = max(worst.values())
     return worst
-
-
-def antipodal_check(f: CubeFunction) -> dict:
-    """Worst violation of S_k f(x XOR 1_n) = S_{n-k} f(x) over all k and x."""
-    n = f.n
-    means = spherical_mean_stack(f, range(n + 1))
-    worst = float(np.abs(means[:, ::-1] - means[::-1]).max())
-    return {"n": n, "max_violation": worst}

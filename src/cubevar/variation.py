@@ -8,7 +8,6 @@ oracle for short sequences.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,9 +21,6 @@ class VariationResult:
     r: float
     value: float
     chain: list
-
-    def to_json(self) -> str:
-        return json.dumps({"r": self.r, "value": self.value, "chain": list(self.chain)})
 
 
 def _check_order(r: float) -> None:
@@ -53,7 +49,7 @@ def _unit_shift(spread, first):
     return np.minimum(np.minimum(-(np.frexp(spread)[1] + 1), 1021 - np.frexp(first)[1]), 1023)
 
 
-def vr_exact(values, r: float, labels=None) -> VariationResult:
+def vr_exact(values, r: float) -> VariationResult:
     """Exact r-variation of a finite sequence plus one maximizing chain.
 
     The chain reported is the lexicographically smallest maximizer (suffix DP
@@ -83,8 +79,6 @@ def vr_exact(values, r: float, labels=None) -> VariationResult:
     chain = [start]
     while nxt[chain[-1]] is not None:
         chain.append(nxt[chain[-1]])
-    if labels is not None:
-        chain = [labels[j] for j in chain]
     return VariationResult(r, math.ldexp(total ** (1.0 / r), -shift), chain)
 
 
@@ -242,9 +236,13 @@ def _rand_sequence(rng, max_len=12):
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
 
-def check_variation_properties(trials: int, seed: int = 0, r_list=(1.0, 2.0, 3.0)) -> dict:
-    """Randomized sweep of the seminorm properties; returns worst slack per
-    property (negative slack would be a violation).
+#: The orders r of the seminorm property sweep.
+SWEEP_ORDERS = (1.0, 2.0, 3.0)
+
+
+def check_variation_properties(trials: int, seed: int = 0) -> dict:
+    """Randomized sweep of the seminorm properties over SWEEP_ORDERS; returns
+    worst slack per property (negative slack would be a violation).
 
     Covers: monotonicity in r, subset monotonicity, reparametrization
     invariance, the triangle inequality, the ell^r bound with constant 2, and
@@ -264,10 +262,10 @@ def check_variation_properties(trials: int, seed: int = 0, r_list=(1.0, 2.0, 3.0
     for _ in range(trials):
         a = _rand_sequence(rng)
         m = a.size
-        for r in r_list:
+        for r in SWEEP_ORDERS:
             va = vr_exact(a, r).value
             # (7): V_{r2} <= V_{r1} for r1 <= r2
-            for r2 in r_list:
+            for r2 in SWEEP_ORDERS:
                 if r2 >= r:
                     slack["monotone_in_r"] = min(
                         slack["monotone_in_r"], va - vr_exact(a, r2).value

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cubevar import cli, krawtchouk
+from cubevar import cli, krawtchouk, operators
 from cubevar.checks import CHECKS
 from cubevar.core import MAX_DIM
 from cubevar.cli import main, parse_config
@@ -80,6 +80,16 @@ def test_verify_counts_identity_failures_and_names_them(tmp_path, capsys, monkey
     assert "krawtchouk_identity_failures" in err and "bound_a_max_ratio" not in err
     record = json.loads((tmp_path / "verify.json").read_text())["records"][0]
     assert record == {"n": 4, "metric": "krawtchouk_identity_failures", "value": 1 + 2 + 3 + 4}
+
+
+def test_verify_names_a_broken_antipodal_identity(tmp_path, capsys, monkeypatch):
+    exact = operators.spherical_mean_multiplier       # S_{k+1} in place of S_k, k < n
+    monkeypatch.setattr(operators, "spherical_mean_multiplier", lambda f, k: exact(f, min(k + 1, f.n)))
+    code = main(["verify", "--n", "4", "--trials", "2", "--out", str(tmp_path), "--format", "json"])
+    assert code == 1
+    assert "antipodal_max_violation" in capsys.readouterr().err
+    record = json.loads((tmp_path / "verify.json").read_text())["records"][-1]
+    assert record["metric"] == "antipodal_max_violation" and record["value"] > 1e-3
 
 
 def test_counterexample_command_and_value(tmp_path, capsys):

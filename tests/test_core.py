@@ -8,11 +8,9 @@ from cubevar import (
     CubeFunction,
     character,
     convolve,
-    delta,
     fourier,
     fwht,
     inverse_fourier,
-    length,
     popcounts,
 )
 
@@ -22,18 +20,26 @@ def rand_fn(n, rng):
     return CubeFunction(n, rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
-def test_length():
-    assert length(0) == 0
-    assert length(0b1111) == 4
-    assert length(0b1011) == 3
-    with pytest.raises(ValueError):
-        length(-1)
-
-
 def test_popcounts_matches_length():
     pc = popcounts(6)
     assert pc.dtype == np.uint8
-    assert all(pc[x] == length(x) for x in range(64))
+    assert all(pc[x] == x.bit_count() for x in range(64))
+
+
+def test_character_values_exact_and_temporaries_small():
+    for n in (1, 4, 7):
+        for y in (0, 1, (1 << n) - 1, (1 << n) // 3):
+            chi = character(n, y).values
+            assert chi.dtype == np.complex128
+            assert np.array_equal(chi, [(-1.0) ** (x & y).bit_count() for x in range(1 << n)])
+    n = 16
+    tracemalloc.start()
+    try:
+        character(n, 2**15 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (16 + 4) * (1 << n)          # the complex output and a uint32 index
 
 
 def test_character_trivial_and_n1():
@@ -71,7 +77,7 @@ def test_fourier_of_normalized_character_is_indicator():
 
 def test_fourier_delta_is_constant():
     n = 3
-    F = fourier(delta(n))
+    F = fourier(CubeFunction(n, np.eye(1 << n)[0]))
     assert np.allclose(F.values, 2.0 ** (-n / 2))
 
 
@@ -82,7 +88,7 @@ def test_fourier_matches_direct_summation(n):
     F = fourier(f)
     for y in range(1 << n):
         direct = sum(
-            f.values[x] * (-1) ** length(x & y) for x in range(1 << n)
+            f.values[x] * (-1) ** (x & y).bit_count() for x in range(1 << n)
         ) * 2.0 ** (-n / 2)
         assert abs(F.values[y] - direct) < 1e-12
 
@@ -110,7 +116,7 @@ def test_inverse_fourier_zero_and_basis():
 
 def test_side_errors():
     n = 2
-    f = delta(n)
+    f = CubeFunction(n, np.eye(1 << n)[0])
     with pytest.raises(ValueError):
         inverse_fourier(f)
     with pytest.raises(ValueError):
@@ -136,7 +142,7 @@ def test_convolve_identity_and_uniform():
     n = 4
     rng = np.random.default_rng(3)
     f = rand_fn(n, rng)
-    assert np.abs(convolve(f, delta(n)).values - f.values).max() < 1e-12
+    assert np.abs(convolve(f, CubeFunction(n, np.eye(1 << n)[0])).values - f.values).max() < 1e-12
     u = CubeFunction(n, np.full(1 << n, 2.0**-n))
     assert np.abs(convolve(u, u).values - u.values).max() < 1e-14
 
@@ -150,15 +156,7 @@ def test_convolve_matches_double_sum():
 
 def test_convolve_dimension_mismatch():
     with pytest.raises(ValueError):
-        convolve(delta(2), delta(3))
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(5)
-    f = rand_fn(3, rng)
-    g = CubeFunction.from_json(f.to_json())
-    assert g.n == f.n and g.side == f.side
-    assert np.abs(g.values - f.values).max() < 1e-15
+        convolve(CubeFunction(2, np.ones(4)), CubeFunction(3, np.ones(8)))
 
 
 def butterfly(values):

@@ -17,7 +17,6 @@ from cubevar import (
     counterexample_all_ones,
     counterexample_corollary,
     counterexample_truncated,
-    full_vs_parity_norm,
     parity_character_scan,
     phi_scan,
     proposition_halfspectrum_scan,
@@ -144,28 +143,14 @@ def test_parity_scan_reflection_symmetry():
 def test_full_vs_parity_norm():
     n, r = 8, 2.0
     f = character(n, (1 << n) - 1)
-    rec = full_vs_parity_norm(f, r)
-    assert rec["witness"]["full"] == pytest.approx(2 * n ** (1 / r), abs=1e-9)
-    assert rec["witness"]["parity"]["0"] == pytest.approx(0.0, abs=1e-10)
-    assert rec["witness"]["parity"]["1"] == pytest.approx(0.0, abs=1e-10)
+    assert variation_norm_ratio(f, range(n + 1), r) == pytest.approx(2 * n ** (1 / r), abs=1e-9)
+    for q in (0, 1):
+        assert variation_norm_ratio(f, parity_radii(n, q), r) == pytest.approx(0.0, abs=1e-10)
     rng = np.random.default_rng(0)
     g = CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
-    rec = full_vs_parity_norm(g, r)
-    for v in rec["witness"]["parity"].values():
-        assert v <= rec["witness"]["full"] + 1e-12
-
-
-def test_full_vs_parity_matches_separate_parity_stacks():
-    n, r = 9, 3.0
-    rng = np.random.default_rng(2)
-    g = CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
-    rec = full_vs_parity_norm(g, r)
+    full = variation_norm_ratio(g, range(n + 1), r)
     for q in (0, 1):
-        stack = spherical_mean_stack(g, parity_radii(n, q))
-        v = vr_pointwise_values(stack, r)
-        expected = float(np.sqrt((v**2).sum())) / g.norm(2)
-        assert rec["witness"]["parity"][str(q)] == pytest.approx(expected, rel=1e-12)
-    assert full_vs_parity_norm(g, r, q=1)["witness"]["parity"] == {"1": rec["witness"]["parity"]["1"]}
+        assert variation_norm_ratio(g, parity_radii(n, q), r) <= full + 1e-12
 
 
 @pytest.mark.parametrize("case", ["character", "halfspectrum", "complex"])
@@ -179,15 +164,16 @@ def test_streamed_ratio_matches_stack(case):
         f = random_halfspectrum_function(n, rng)
     else:                            # every level present: per-row route
         f = CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
-    stack = spherical_mean_stack(f, range(n + 1))
-    for r in (1.0, 2.0, 3.0):
-        v = vr_pointwise_values(stack, r)
-        expected = float(np.sqrt((v**2).sum())) / f.norm(2)
-        streamed = variation_norm_ratio(f, range(n + 1), r)
-        if r == 3.0:
-            assert streamed == pytest.approx(expected, rel=1e-14)
-        else:
-            assert streamed == expected
+    for radii in (range(n + 1), parity_radii(n, 0), parity_radii(n, 1)):
+        stack = spherical_mean_stack(f, radii)
+        for r in (1.0, 2.0, 3.0):
+            v = vr_pointwise_values(stack, r)
+            expected = float(np.sqrt((v**2).sum())) / f.norm(2)
+            streamed = variation_norm_ratio(f, radii, r)
+            if r == 3.0:
+                assert streamed == pytest.approx(expected, rel=1e-14)
+            else:
+                assert streamed == expected
 
 
 def test_streamed_ratio_independent_of_block_width(monkeypatch):
@@ -198,11 +184,10 @@ def test_streamed_ratio_independent_of_block_width(monkeypatch):
         random_halfspectrum_function(n, rng),
         CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)),
     ]
-    expected = [variation_norm_ratio(f, range(n + 1), 3.0) for f in inputs]
-    parity = [full_vs_parity_norm(f, 3.0) for f in inputs]
+    families = (range(n + 1), parity_radii(n, 0), parity_radii(n, 1))
+    expected = [variation_norm_ratio(f, radii, 3.0) for f in inputs for radii in families]
     monkeypatch.setattr(core, "BLOCK", 7)
-    assert [variation_norm_ratio(f, range(n + 1), 3.0) for f in inputs] == expected
-    assert [full_vs_parity_norm(f, 3.0) for f in inputs] == parity
+    assert [variation_norm_ratio(f, radii, 3.0) for f in inputs for radii in families] == expected
 
 
 def test_streamed_ratio_holds_no_stack():

