@@ -153,6 +153,17 @@ def test_full_vs_parity_norm():
         assert variation_norm_ratio(g, parity_radii(n, q), r) <= full + 1e-12
 
 
+def test_full_vs_parity_matches_separate_parity_stacks():
+    n, r = 9, 3.0
+    rng = np.random.default_rng(2)
+    g = CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
+    for q in (0, 1):
+        stack = spherical_mean_stack(g, parity_radii(n, q))
+        v = vr_pointwise_values(stack, r)
+        expected = float(np.sqrt((v**2).sum())) / g.norm(2)
+        assert variation_norm_ratio(g, parity_radii(n, q), r) == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("case", ["character", "halfspectrum", "complex"])
 def test_streamed_ratio_matches_stack(case):
     n = 15

@@ -20,6 +20,7 @@ from cubevar import (
     vr_exact,
     vr_pointwise_values,
 )
+from cubevar.checks import run_check
 
 
 def test_vr_constant_is_zero():
@@ -102,6 +103,11 @@ def test_dyadic_partition_examples():
         dyadic_partition(3, 3, 3)
     with pytest.raises(ValueError):
         dyadic_partition(0, 9, 3)
+
+
+@pytest.mark.parametrize("l", range(0, 9))
+def test_dyadic_partition_exhaustive(l):
+    assert run_check("dyadic_partition_failures", scales=[l])["value"] == 0
 
 
 def test_variation_properties_sweep():
