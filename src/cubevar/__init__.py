@@ -4,9 +4,7 @@ from .core import (
     CubeFunction,
     character,
     convolve,
-    fourier,
     fwht,
-    inverse_fourier,
     popcounts,
 )
 from .krawtchouk import (

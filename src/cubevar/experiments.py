@@ -93,28 +93,43 @@ class ExperimentReport:
                 )
 
 
+#: Points per reduction chunk of `variation_norm_ratio` (or 2^n when fewer):
+#: a power of two and at least numpy's 128-value pairwise-summation block, so
+#: chunk sums combined in a binary tree give the bits of one numpy sum over
+#: all 2^n points.  It does not depend on `core.BLOCK`.
+CHUNK = 1 << 14
+
+
 def variation_norm_ratio(f: CubeFunction, radii, r):
     """|| V_r(S_k f : k in radii) ||_2 / ||f||_2 via the full pipeline: each
-    block of spherical means goes through the pointwise DP as it is made, so
-    neither the (|radii|, 2^n) stack nor a DP table over every point is held.
+    block of spherical means goes through the pointwise DP as it is made, and
+    the pointwise values are squared and summed a chunk of `CHUNK` points at
+    a time, so neither the (|radii|, 2^n) stack, nor a DP table over every
+    point, nor a 2^n row of pointwise values is held.  The chunk sums are
+    combined pairwise, as numpy sums one 2^n row, so the output bits do not
+    depend on the block width.
 
     `r` is one order, for one ratio, or a sequence of orders, for a list of
     ratios in the given order; every order is filled from one stream."""
     norm_f = f.norm(2)
     if norm_f == 0.0:
         raise ValueError("ratio undefined for the zero function")
-    v = np.empty((np.size(r), 1 << f.n))
-    for cols, block in spherical_mean_blocks(f, radii):
-        v[:, cols] = vr_pointwise_values(block, np.ravel(r))
-    ratios = [_l2_ratio(row, norm_f) for row in v]
+    orders = np.ravel(r)
+    buf = np.empty((orders.size, min(CHUNK, 1 << f.n)))
+    sums, fill = [], 0
+    for _, block in spherical_mean_blocks(f, radii):
+        v = vr_pointwise_values(block, orders)
+        while v.shape[1]:
+            take = min(buf.shape[1] - fill, v.shape[1])
+            buf[:, fill:fill + take] = v[:, :take]
+            v, fill = v[:, take:], fill + take
+            if fill == buf.shape[1]:
+                sums.append(np.square(buf, out=buf).sum(axis=1))
+                fill = 0
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[0::2], sums[1::2])]
+    ratios = [float(np.sqrt(s)) / norm_f for s in sums[0]]
     return ratios if np.ndim(r) else ratios[0]
-
-
-def _l2_ratio(v: np.ndarray, norm_f: float) -> float:
-    """||v||_2 / norm_f, reduced once over all 2^n points so the summation
-    order (and so every output bit) does not depend on the block width.
-    Squares `v` in place."""
-    return float(np.sqrt(np.square(v, out=v).sum())) / norm_f
 
 
 def character_variation(n: int, weight: int, radii, r: float) -> float:

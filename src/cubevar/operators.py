@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 
 import numpy as np
 
 from . import core
 from .core import PHYSICAL, CubeFunction, convolve, fwht, popcounts
 from .krawtchouk import build_table
+
+try:
+    #: Bytes of physical memory, read once: `_radial_terms` refuses a result
+    #: larger than this before allocating it.  None where it is not reported.
+    PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):
+    PHYSICAL_MEMORY = None
 
 
 def sphere_indicator(n: int, k: int) -> CubeFunction:
@@ -65,7 +73,8 @@ def _radial_terms(f: CubeFunction, rows):
     the (m, 2^n) result itself.  Float64 throughout when f is real.  A
     single-level f is its own level projection: on the physical side terms
     is f itself, with no transform back, and on the spectral side its
-    spectrum is transformed in place.
+    spectrum is transformed in place.  A (levels or rows, 2^n) result that
+    would exceed `PHYSICAL_MEMORY` raises MemoryError before it is allocated.
     """
     n = f.n
     rows = np.asarray(rows, dtype=np.float64)
@@ -85,6 +94,11 @@ def _radial_terms(f: CubeFunction, rows):
             return rows[:, levels], values[None]
         return rows[:, levels] * scale, fwht(spec)[None]
     rows = rows * scale
+    count = min(len(levels), len(rows))
+    need = count * spec.nbytes
+    if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
+        raise MemoryError(f"{count} x 2^{n} values need {need} bytes, more than the "
+                          f"{PHYSICAL_MEMORY} bytes of physical memory")
     if len(levels) < len(rows):
         proj = np.zeros((len(levels), spec.size), dtype=spec.dtype)
         for p, w in zip(proj, levels):

@@ -233,6 +233,14 @@ def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
     assert "Unable to allocate" in capsys.readouterr().err
 
 
+def test_result_above_physical_memory_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 1)
+    code = main(["half-spectrum", "--n", "6", "--trials", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "bytes of physical memory" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_counterexample_corollary_reads_alpha(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("n_list = 2, 16, 64\nr_list = 2\nalpha = 0.25\n")

@@ -8,11 +8,10 @@ from cubevar import (
     CubeFunction,
     character,
     convolve,
-    fourier,
     fwht,
-    inverse_fourier,
     popcounts,
 )
+from spectral_helpers import fourier, inverse_fourier
 
 
 def rand_fn(n, rng):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cubevar import core
+from cubevar import core, experiments
 from cubevar import (
     CubeFunction,
     ExperimentConfig,
@@ -227,6 +227,39 @@ def test_streamed_orders_hold_no_stack():
     finally:
         tracemalloc.stop()
     assert peak < (n + 1) * (1 << n) * 8         # one (n+1) x 2^n float64 stack
+
+
+def test_streamed_orders_hold_no_row_of_values():
+    # the bound counts the DP and engine buffers of one block, not 2^n: six
+    # (n+1) x BLOCK float64 arrays; a (3 x 2^18) float64 array of pointwise
+    # values on top of them crosses it
+    n = 18
+    f = character(n, 2**17 - 1)
+    variation_norm_ratio(f, range(n + 1), 2.0)     # fill the table and popcount caches
+    tracemalloc.start()
+    try:
+        variation_norm_ratio(f, range(n + 1), [1.0, 2.0, 3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * (n + 1) * core.BLOCK * 8
+
+
+def test_chunked_reduction_matches_one_sum(monkeypatch):
+    n = 10
+    monkeypatch.setattr(core, "BLOCK", 7)             # blocks straddle the chunks
+    monkeypatch.setattr(experiments, "CHUNK", 128)    # eight chunks
+    rng = np.random.default_rng(15)
+    inputs = [
+        character(n, 0b0111011101),
+        random_halfspectrum_function(n, rng),
+        CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)),
+    ]
+    for f in inputs:
+        stack = spherical_mean_stack(f, range(n + 1))
+        expected = [float(np.sqrt((v**2).sum())) / f.norm(2)
+                    for v in vr_pointwise_values(stack, [1.0, 2.0])]
+        assert variation_norm_ratio(f, range(n + 1), [1.0, 2.0]) == expected
 
 
 def test_full_vs_parity_rejects_zero():

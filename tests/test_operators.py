@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cubevar import operators
 from cubevar import (
     CubeFunction,
     apply_radial_multipliers,
     build_table,
     character,
-    fourier,
-    inverse_fourier,
     noise_binomial,
     noise_multiplier,
     popcounts,
@@ -20,6 +19,7 @@ from cubevar import (
 )
 from cubevar.checks import run_check
 from cubevar.experiments import random_halfspectrum_function
+from spectral_helpers import fourier, inverse_fourier
 
 
 def rand_fn(n, rng):
@@ -222,3 +222,19 @@ def test_antipodal_identity():
     # S_k f(x XOR 1_n) = S_{n-k} f(x), through the check battery
     res = run_check("antipodal_max_violation", dims=[4, 10], seed=9)
     assert res["passed"] and res["value"] < 1e-10
+
+
+def test_result_above_physical_memory_raises(monkeypatch):
+    n = 8
+    rng = np.random.default_rng(16)
+    cases = [
+        (rand_fn(n, rng), n + 1),                                 # per-row route
+        (random_halfspectrum_function(n, rng), n // 2 + 1),       # projection route
+    ]
+    for f, count in cases:
+        need = count * (1 << n) * 16
+        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need - 1)
+        with pytest.raises(MemoryError, match=f"{need} bytes, more than the {need - 1} bytes"):
+            spherical_mean_stack(f, range(n + 1))
+        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need)
+        assert spherical_mean_stack(f, range(n + 1)).shape == (n + 1, 1 << n)
