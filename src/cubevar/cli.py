@@ -83,14 +83,19 @@ def _cube_config(args) -> ExperimentConfig:
 
 
 def _threads(args) -> int:
-    """--threads, else the CUBEVAR_THREADS environment variable, else the CPU count."""
+    """--threads, else the CUBEVAR_THREADS environment variable, else the CPU
+    count; a count below 1 is an error."""
     if args.threads is not None:
-        return args.threads
-    text = os.environ.get("CUBEVAR_THREADS", str(os.cpu_count() or 1))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"CUBEVAR_THREADS must be an integer, got {text!r}") from None
+        threads, source = args.threads, "--threads"
+    else:
+        text = os.environ.get("CUBEVAR_THREADS", str(os.cpu_count() or 1))
+        try:
+            threads, source = int(text), "CUBEVAR_THREADS"
+        except ValueError:
+            raise ValueError(f"CUBEVAR_THREADS must be an integer, got {text!r}") from None
+    if threads < 1:
+        raise ValueError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def map_ordered(fn, items, threads: int):

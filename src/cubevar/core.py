@@ -1,9 +1,11 @@
-"""Dense complex functions on the Hamming cube {0,1}^n and their Walsh-Hadamard analysis.
+"""Dense real or complex functions on the Hamming cube {0,1}^n and their Walsh-Hadamard analysis.
 
 Points are machine integers: bit j of the index holds coordinate x(j), so the
 group operation is XOR and the length |x| is a popcount.  Functions live in a
 flat array of 2^n values, either on the physical side or on the spectral side
-(coefficients against the normalized characters).
+(coefficients against the normalized characters).  The values are float64
+for a real input and complex128 for a complex one, so whether a function is
+real is read off its dtype, and operators keep a real input real.
 """
 from __future__ import annotations
 
@@ -42,7 +44,9 @@ def popcounts(n: int) -> np.ndarray:
 
 @dataclass
 class CubeFunction:
-    """A function on {0,1}^n stored as 2^n complex values plus a side marker."""
+    """A function on {0,1}^n stored as 2^n values plus a side marker: complex128
+    when the input is complex, float64 otherwise (so a longdouble or integer
+    input still gives `fwht` a dtype it takes)."""
 
     n: int
     values: np.ndarray
@@ -52,7 +56,8 @@ class CubeFunction:
         check_dim(self.n)
         if self.side not in (PHYSICAL, SPECTRAL):
             raise ValueError(f"unknown side {self.side!r}")
-        self.values = np.asarray(self.values, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
+        self.values = np.asarray(self.values, dtype=dtype)
         if self.values.shape != (1 << self.n,):
             raise ValueError(
                 f"value array of shape {self.values.shape} does not match n={self.n}"
@@ -68,7 +73,7 @@ class CubeFunction:
 def character(n: int, y: int) -> CubeFunction:
     """The character x -> (-1)^{x.y} as a physical-side function.
 
-    Built with one 2^n complex array and, before it, one uint32 index array
+    Built with one 2^n float64 array and, before it, one uint32 index array
     and its uint8 popcounts: x & y is formed in place, and the index array
     is freed before the output is allocated.
     """
@@ -80,7 +85,7 @@ def character(n: int, y: int) -> CubeFunction:
     odd = np.bitwise_count(x)
     del x
     odd &= 1
-    values = np.ones(1 << n, dtype=np.complex128)
+    values = np.ones(1 << n)
     np.copyto(values, -1.0, where=odd.view(bool))
     return CubeFunction(n, values)
 

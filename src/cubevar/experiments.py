@@ -117,7 +117,7 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
     orders = np.ravel(r)
     buf = np.empty((orders.size, min(CHUNK, 1 << f.n)))
     sums, fill = [], 0
-    for _, block in spherical_mean_blocks(f, radii):
+    for block in spherical_mean_blocks(f, radii):
         v = vr_pointwise_values(block, orders)
         while v.shape[1]:
             take = min(buf.shape[1] - fill, v.shape[1])

@@ -5,7 +5,8 @@ multiplier, sum_w m(w) P_w f with P_w the projection onto Walsh level w, so all
 of them run through one engine, `apply_radial_multipliers`, which can also
 stream its result a block of points at a time (`radial_multiplier_blocks`).
 The physical-side averages of `spherical_mean_direct` (enumeration or
-convolution) are the independent route it is cross-checked against.
+convolution) and the binomial-kernel convolution of `noise_binomial` are the
+independent routes it is cross-checked against.
 """
 from __future__ import annotations
 
@@ -30,8 +31,7 @@ except (AttributeError, ValueError, OSError):
 def sphere_indicator(n: int, k: int) -> CubeFunction:
     """Normalized indicator of the radius-k sphere, the kernel of S_k."""
     pc = popcounts(n)
-    values = np.where(pc == k, 1.0 / math.comb(n, k), 0.0).astype(np.complex128)
-    return CubeFunction(n, values)
+    return CubeFunction(n, np.where(pc == k, 1.0 / math.comb(n, k), 0.0))
 
 
 def spherical_mean_direct(f: CubeFunction, k: int, method: str = "auto") -> CubeFunction:
@@ -70,7 +70,7 @@ def _radial_terms(f: CubeFunction, rows):
     rows, each non-zero level projection is inverse-transformed once and the
     result is `coef @ terms`, with coef the (m, levels) columns of the rows;
     otherwise each row takes one inverse transform, coef is None and terms is
-    the (m, 2^n) result itself.  Float64 throughout when f is real.  A
+    the (m, 2^n) result itself, float64 when f.values are.  A
     single-level f is its own level projection: on the physical side terms
     is f itself, with no transform back, and on the spectral side its
     spectrum is transformed in place.  A (levels or rows, 2^n) result that
@@ -80,8 +80,7 @@ def _radial_terms(f: CubeFunction, rows):
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != n + 1:
         raise ValueError(f"multiplier matrix of shape {rows.shape} does not match n={n}")
-    values = f.values if f.values.imag.any() else f.values.real
-    spec = values.copy()
+    spec = f.values.copy()
     if f.side == PHYSICAL:
         fwht(spec)
         scale = 2.0 ** -n                # both transforms' 2^{-n/2}, folded in
@@ -91,7 +90,7 @@ def _radial_terms(f: CubeFunction, rows):
     levels = np.flatnonzero(np.bincount(pc[spec != 0], minlength=n + 1))
     if len(levels) == 1 < len(rows):
         if f.side == PHYSICAL:
-            return rows[:, levels], values[None]
+            return rows[:, levels], f.values[None]
         return rows[:, levels] * scale, fwht(spec)[None]
     rows = rows * scale
     count = min(len(levels), len(rows))
@@ -117,15 +116,15 @@ def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
     """Row i of the result is sum_w rows[i, w] P_w f on the physical side.
 
     `rows` is a real (m, n+1) matrix of multipliers indexed by Walsh level and
-    f may be on either side; the result is (m, 2^n), float64 when f is real.
+    f may be on either side; the result is (m, 2^n), float64 when f.values are.
     """
     coef, terms = _radial_terms(f, rows)
     return terms if coef is None else coef @ terms
 
 
 def radial_multiplier_blocks(f: CubeFunction, rows):
-    """`apply_radial_multipliers(f, rows)` as (columns, block) pairs: each
-    block holds the rows at `core.BLOCK` consecutive points.
+    """`apply_radial_multipliers(f, rows)` as a sequence of column blocks:
+    each holds the rows at the next `core.BLOCK` consecutive points.
 
     When f has fewer non-zero levels than there are rows (every character,
     every spectral-side half-spectrum draw), each block is formed from the
@@ -135,7 +134,7 @@ def radial_multiplier_blocks(f: CubeFunction, rows):
     coef, terms = _radial_terms(f, rows)
     for start in range(0, terms.shape[1], core.BLOCK):
         block = terms[:, start:start + core.BLOCK]
-        yield slice(start, start + block.shape[1]), block if coef is None else coef @ block
+        yield block if coef is None else coef @ block
 
 
 def _kraw_rows(n: int, radii) -> np.ndarray:
@@ -153,8 +152,8 @@ def spherical_mean_stack(f: CubeFunction, radii) -> np.ndarray:
 
 
 def spherical_mean_blocks(f: CubeFunction, radii):
-    """`spherical_mean_stack(f, radii)` streamed as the (columns, block) pairs
-    of `radial_multiplier_blocks`."""
+    """`spherical_mean_stack(f, radii)` streamed as the column blocks of
+    `radial_multiplier_blocks`."""
     return radial_multiplier_blocks(f, _kraw_rows(f.n, radii))
 
 
@@ -177,14 +176,15 @@ def noise_multiplier(f: CubeFunction, t: float) -> CubeFunction:
 
 def noise_binomial(f: CubeFunction, t: float) -> CubeFunction:
     """N_t f as the binomial mixture sum_k C(n,k) u^k (1-u)^{n-k} S_k f with
-    u = (1 - e^{-t}) / 2, applied as the one multiplier row that mixes the
-    Krawtchouk rows kappa_k with those weights."""
+    u = (1 - e^{-t}) / 2.  The mixture of normalized sphere indicators is
+    the kernel u^{|y|} (1-u)^{n-|y|}, whose transform is e^{-t|w|}; the
+    physical-side f is convolved with it, as in the `conv` route of
+    `spherical_mean_direct`, so this route does not go through the engine."""
     _check_time(t)
     n = f.n
     u = (1.0 - math.exp(-t)) / 2.0
-    weights = [math.comb(n, k) * u**k * (1.0 - u) ** (n - k) for k in range(n + 1)]
-    row = np.asarray(weights) @ build_table(n).float
-    return CubeFunction(n, apply_radial_multipliers(f, row[None])[0])
+    pc = popcounts(n)
+    return convolve(f, CubeFunction(n, u ** pc * (1.0 - u) ** (n - pc)))
 
 
 def semigroup_axioms_check(n: int, t_grid, trials: int = 20, seed: int = 0) -> dict:
@@ -201,7 +201,7 @@ def semigroup_axioms_check(n: int, t_grid, trials: int = 20, seed: int = 0) -> d
         "positivity": 0.0,
         "conservation": 0.0,
     }
-    ones = CubeFunction(n, np.ones(size, dtype=np.complex128))
+    ones = CubeFunction(n, np.ones(size))
     for t in t_grid:
         c = noise_multiplier(ones, t)
         worst["conservation"] = max(worst["conservation"], float(np.abs(c.values - 1).max()))
@@ -214,8 +214,8 @@ def semigroup_axioms_check(n: int, t_grid, trials: int = 20, seed: int = 0) -> d
             lhs = np.vdot(g.values, nf.values)
             rhs = np.vdot(noise_multiplier(g, t).values, f.values)
             worst["symmetry"] = max(worst["symmetry"], abs(lhs - rhs))
-            pos = CubeFunction(n, np.abs(rng.standard_normal(size)).astype(np.complex128))
+            pos = CubeFunction(n, np.abs(rng.standard_normal(size)))
             npos = noise_multiplier(pos, t)
-            worst["positivity"] = max(worst["positivity"], float(-npos.values.real.min()))
+            worst["positivity"] = max(worst["positivity"], float(-npos.values.min()))
     worst["max_violation"] = max(worst.values())
     return worst

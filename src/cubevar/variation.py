@@ -54,13 +54,15 @@ def vr_exact(values, r: float) -> VariationResult:
 
     The chain reported is the lexicographically smallest maximizer (suffix DP
     with strict-improvement updates, scanned left to right).  The sequence is
-    scaled by a power of two first (`_unit_shift`).
+    scaled by a power of two first (`_unit_shift`).  A real sequence runs in
+    float64 and a complex one in complex128.
     """
-    a = np.asarray(values, dtype=np.complex128)
+    a = np.asarray(values)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if a.size == 0:
         raise ValueError("variation of an empty sequence is undefined")
     _check_order(r)
-    a = a.tolist()            # Python complex: scalar arithmetic without numpy overhead
+    a = a.tolist()            # Python scalars: arithmetic without numpy overhead
     shift = _unit_shift(max(abs(v - a[0]) for v in a), abs(a[0]))
     scale = math.ldexp(1.0, shift)
     a = [v * scale for v in a]

@@ -207,6 +207,18 @@ def test_orders_in_one_pass_match_single_runs(tmp_path, argv, name):
     assert joint == sorted(single, key=key)
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_threads_below_one_exit_2(tmp_path, capsys, monkeypatch, count):
+    for command in ("counterexample", "parity-scan"):
+        assert main([command, "--n", "4", "--threads", count, "--out", str(tmp_path / "flag")]) == 2
+        assert "--threads" in capsys.readouterr().err
+    monkeypatch.setenv("CUBEVAR_THREADS", count)
+    for command in ("counterexample", "parity-scan"):
+        assert main([command, "--n", "4", "--out", str(tmp_path / "env")]) == 2
+        assert "CUBEVAR_THREADS" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_malformed_env_threads(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CUBEVAR_THREADS", "abc")
     assert main(["phi-psi", "--n", "6", "--out", str(tmp_path / "ok"), "--format", "json"]) == 0

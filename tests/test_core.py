@@ -29,7 +29,7 @@ def test_character_values_exact_and_temporaries_small():
     for n in (1, 4, 7):
         for y in (0, 1, (1 << n) - 1, (1 << n) // 3):
             chi = character(n, y).values
-            assert chi.dtype == np.complex128
+            assert chi.dtype == np.float64
             assert np.array_equal(chi, [(-1.0) ** (x & y).bit_count() for x in range(1 << n)])
     n = 16
     tracemalloc.start()
@@ -38,7 +38,16 @@ def test_character_values_exact_and_temporaries_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (16 + 4) * (1 << n)          # the complex output and a uint32 index
+    assert peak <= (8 + 4) * (1 << n)           # the float64 output and a uint32 index
+
+
+def test_values_dtype_follows_input():
+    # real, integer and longdouble input is stored as float64; complex input
+    # stays complex128, zero imaginary parts included
+    for values in (np.arange(4), np.ones(4, dtype=np.longdouble), [0.5, 1, 2, 3]):
+        assert CubeFunction(2, values).values.dtype == np.float64
+    for values in (np.ones(4, dtype=np.complex64), np.ones(4, dtype=np.complex128), [1j, 0, 0, 0]):
+        assert CubeFunction(2, values).values.dtype == np.complex128
 
 
 def test_character_trivial_and_n1():

@@ -80,6 +80,36 @@ def test_counterexample_truncated_errors():
         counterexample_truncated(8, [2.0], 0.9)
 
 
+def test_truncated_witness_memory():
+    # the whole witness, the character included, stays below 4.5 float64
+    # rows of 2^n: the float64 character, its transformed copy and the
+    # transform's scratch, plus the per-block DP buffers
+    n = 18
+    counterexample_truncated(n, [1.0], math.sqrt(n))    # fill the table and popcount caches
+    tracemalloc.start()
+    try:
+        counterexample_truncated(n, [1.0], math.sqrt(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * (1 << n) * 8
+
+
+def test_ratio_of_real_input_passed_as_complex():
+    # a complex128 input stays complex and takes the complex DP; on a ±1
+    # character it gives the float64 bits, and on a random real f it agrees
+    n, orders = 10, [1.0, 2.0, 3.0]
+    chi = character(n, (1 << (n - 1)) - 1)
+    as_complex = CubeFunction(n, chi.values.astype(np.complex128))
+    assert as_complex.values.dtype == np.complex128
+    for radii in (range(n + 1), parity_radii(n, 1)):
+        assert variation_norm_ratio(as_complex, radii, orders) == variation_norm_ratio(chi, radii, orders)
+    g = CubeFunction(n, np.random.default_rng(17).standard_normal(1 << n))
+    real = variation_norm_ratio(g, range(n + 1), orders)
+    cast = variation_norm_ratio(CubeFunction(n, g.values + 0j), range(n + 1), orders)
+    assert np.abs(np.subtract(real, cast)).max() <= 1e-12 * max(real)
+
+
 def test_character_variation_matches_pipeline():
     n, r = 8, 2.0
     for weight in (2, 5, n):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cubevar import operators
+from cubevar import core, operators
 from cubevar import (
     CubeFunction,
     apply_radial_multipliers,
@@ -178,6 +178,27 @@ def test_noise_binomial_agrees_with_multiplier():
         nb = noise_binomial(f, t)
         nm = noise_multiplier(f, t)
         assert np.abs(nb.values - nm.values).max() < 1e-10
+
+
+def test_noise_cross_validation_catches_engine_fault(monkeypatch):
+    # the binomial route convolves on the physical side and does not go
+    # through the engine, so a fault in the engine shows up as a gap
+    assert run_check("noise_cross_validation", dims=[6], seed=0)["passed"]
+    engine = operators.apply_radial_multipliers
+    monkeypatch.setattr(operators, "apply_radial_multipliers",
+                        lambda f, rows: engine(f, rows) * (1 + 1e-6))
+    assert not run_check("noise_cross_validation", dims=[6], seed=0)["passed"]
+
+
+def test_engine_blocks_tile_the_result(monkeypatch):
+    monkeypatch.setattr(core, "BLOCK", 7)
+    rng = np.random.default_rng(18)
+    n = 6
+    rows = build_table(n).float
+    for f in (character(n, 0b011011), rand_fn(n, rng)):
+        blocks = list(operators.radial_multiplier_blocks(f, rows))
+        assert [b.shape for b in blocks] == [(n + 1, 7)] * 9 + [(n + 1, 1)]
+        assert np.array_equal(np.hstack(blocks), apply_radial_multipliers(f, rows))
 
 
 def test_noise_binomial_weights_sum_to_one():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cubevar import core
 from cubevar import (
     CubeFunction,
+    build_table,
     character,
     check_chain_lemma,
     check_variation_properties,
@@ -236,6 +237,18 @@ def test_vr_r1_sum_matches_chain_dp():
                 best[j] = np.maximum(best[j], np.abs(stack[i] - stack[j]) + best[i])
         dp = best.max(axis=0)
         assert (np.abs(vr_pointwise_values(stack, 1.0) - dp) <= 4 * np.spacing(dp)).all()
+
+
+def test_vr_exact_real_columns_match_complex_cast():
+    # a real sequence runs in Python floats, a complex one in Python complex;
+    # |complex(x, 0)| is |x| exactly, so the two give the same bits
+    for n in (9, 16, 33):
+        table = build_table(n).float
+        for w in range(n + 1):
+            for r in (1.0, 2.0, 2.5, 3.0):
+                real = vr_exact(table[:, w], r)
+                cast = vr_exact(table[:, w].astype(np.complex128), r)
+                assert (real.value, real.chain) == (cast.value, cast.chain)
 
 
 def test_vr_large_r_does_not_underflow():
