@@ -15,7 +15,7 @@ import numpy as np
 # Called through their modules, so that rebinding a module's attribute (as
 # perfbench's tracer does) reaches these calls too.
 from . import krawtchouk, operators, variation
-from .core import CubeFunction
+from .core import SPECTRAL, CubeFunction
 
 #: Noise parameters t of the N_t cross-validation and the semigroup axioms.
 T_GRID = (0.01, 0.1, 1.0, math.log(2), 5.0)
@@ -40,6 +40,12 @@ def _random_functions(dims, seed):
         yield CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
 
 
+def _spectral(f):
+    """f on the spectral side, by one forward transform: the engine's S_k of
+    it then runs one inverse transform per radius and no forward one."""
+    return CubeFunction(f.n, operators.fwht(f.values.copy()) * 2.0 ** (-f.n / 2), SPECTRAL)
+
+
 def _worst_gap(pairs):
     """Largest |a - b| over pairs of value arrays."""
     return max((float(np.abs(a - b).max()) for a, b in pairs), default=0.0), None
@@ -47,10 +53,13 @@ def _worst_gap(pairs):
 
 def spherical_cross_validation(dims, seed):
     """Worst gap of the direct and the multiplier S_k f over every radius k,
-    for one random complex f per entry of dims, drawn in order from seed."""
+    for one random complex f per entry of dims, drawn in order from seed; the
+    direct side averages f itself, the multiplier side starts from its
+    spectrum."""
     return _worst_gap((operators.spherical_mean_direct(f, k).values,
-                       operators.spherical_mean_multiplier(f, k).values)
-                      for f in _random_functions(dims, seed) for k in range(f.n + 1))
+                       operators.spherical_mean_multiplier(spec, k).values)
+                      for f in _random_functions(dims, seed)
+                      for spec in [_spectral(f)] for k in range(f.n + 1))
 
 
 def noise_cross_validation(dims, seed):
@@ -63,10 +72,12 @@ def noise_cross_validation(dims, seed):
 def antipodal_max_violation(dims, seed):
     """Worst |S_k f(x XOR 1_n) - S_{n-k} f(x)| over k = 0..n/2 and every x,
     for the same random functions as spherical_cross_validation; one radius
-    pair is held at a time, never the (n+1) x 2^n stack."""
-    return _worst_gap((operators.spherical_mean_multiplier(f, k).values[::-1],
-                       operators.spherical_mean_multiplier(f, f.n - k).values)
-                      for f in _random_functions(dims, seed) for k in range(f.n // 2 + 1))
+    pair is held at a time, never the (n+1) x 2^n stack; both start from the
+    spectrum of f."""
+    return _worst_gap((operators.spherical_mean_multiplier(spec, k).values[::-1],
+                       operators.spherical_mean_multiplier(spec, spec.n - k).values)
+                      for spec in map(_spectral, _random_functions(dims, seed))
+                      for k in range(spec.n // 2 + 1))
 
 
 def semigroup_max_violation(cases, seed):

@@ -93,10 +93,11 @@ class ExperimentReport:
                 )
 
 
-#: Points per reduction chunk of `variation_norm_ratio` (or 2^n when fewer):
-#: a power of two and at least numpy's 128-value pairwise-summation block, so
-#: chunk sums combined in a binary tree give the bits of one numpy sum over
-#: all 2^n points.  It does not depend on `core.BLOCK`.
+#: Points per reduction chunk of `variation_norm_ratio` (or all reduced
+#: points when fewer): a power of two and at least numpy's 128-value
+#: pairwise-summation block, so chunk sums combined in a binary tree give the
+#: bits of one numpy sum over the reduced points.  It does not depend on
+#: `core.BLOCK`.
 CHUNK = 1 << 14
 
 
@@ -106,19 +107,30 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
     the pointwise values are squared and summed a chunk of `CHUNK` points at
     a time, so neither the (|radii|, 2^n) stack, nor a DP table over every
     point, nor a 2^n row of pointwise values is held.  The chunk sums are
-    combined pairwise, as numpy sums one 2^n row, so the output bits do not
+    combined pairwise, as numpy sums one row, so the output bits do not
     depend on the block width.
+
+    When the radii pair up antipodally, radii[i] + radii[m-1-i] = n (the full
+    range; either parity family at even n), only the half cube x < 2^{n-1},
+    the first points of the stream, is reduced: S_{n-k} f(x) = S_k f(x XOR
+    1_n), so the column at x XOR 1_n is the column at x reversed, which has
+    the same V_r, and the sum over the cube is twice the sum over the half.
 
     `r` is one order, for one ratio, or a sequence of orders, for a list of
     ratios in the given order; every order is filled from one stream."""
     norm_f = f.norm(2)
     if norm_f == 0.0:
         raise ValueError("ratio undefined for the zero function")
+    radii = list(radii)
+    blocks = spherical_mean_blocks(f, radii)       # rejects radii outside 0..n
+    half = all(a + b == f.n for a, b in zip(radii, reversed(radii)))
+    left = 1 << (f.n - half)                       # points still to reduce
     orders = np.ravel(r)
-    buf = np.empty((orders.size, min(CHUNK, 1 << f.n)))
+    buf = np.empty((orders.size, min(CHUNK, left)))
     sums, fill = [], 0
-    for block in spherical_mean_blocks(f, radii):
-        v = vr_pointwise_values(block, orders)
+    for block in blocks:
+        v = vr_pointwise_values(block[:, :left], orders)
+        left -= v.shape[1]
         while v.shape[1]:
             take = min(buf.shape[1] - fill, v.shape[1])
             buf[:, fill:fill + take] = v[:, :take]
@@ -126,9 +138,11 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
             if fill == buf.shape[1]:
                 sums.append(np.square(buf, out=buf).sum(axis=1))
                 fill = 0
+        if not left:
+            break
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[0::2], sums[1::2])]
-    ratios = [float(np.sqrt(s)) / norm_f for s in sums[0]]
+    ratios = [float(np.sqrt(2 * s if half else s)) / norm_f for s in sums[0]]
     return ratios if np.ndim(r) else ratios[0]
 
 

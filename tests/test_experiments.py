@@ -358,3 +358,70 @@ def test_phi_psi_errors():
         phi_scan(1)
     with pytest.raises(ValueError):
         psi_scan(1)
+
+
+def _oracle_inputs(n, rng):
+    return [
+        character(n, (1 << (n - 1)) - 1),                               # projection route
+        CubeFunction(n, rng.standard_normal(1 << n)),                     # real, per-row route
+        CubeFunction(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)),
+        random_halfspectrum_function(n, rng),                             # spectral side
+    ]
+
+
+@pytest.mark.parametrize("n, small", [(1, False), (2, False), (9, False), (14, False), (15, False),
+                                      (1, True), (2, True), (9, True)])
+def test_half_cube_ratio_matches_full_cube_oracle(n, small, monkeypatch):
+    # the full range and both parity families; at odd n the parity families
+    # do not pair k with n - k and take every point.  BLOCK = 7 and CHUNK =
+    # 128 make the stream cross the half-cube limit inside a block
+    if small:
+        monkeypatch.setattr(core, "BLOCK", 7)
+        monkeypatch.setattr(experiments, "CHUNK", 128)
+    orders = [1.0, 2.0, 2.5, 3.0]
+    for f in _oracle_inputs(n, np.random.default_rng(n)):
+        for radii in (range(n + 1), parity_radii(n, 0), parity_radii(n, 1)):
+            v = vr_pointwise_values(spherical_mean_stack(f, radii), orders)
+            oracle = np.sqrt((v**2).sum(axis=1)) / f.norm(2)
+            ratios = variation_norm_ratio(f, radii, orders)
+            assert (np.abs(np.subtract(ratios, oracle)) <= 1e-15 * oracle).all()
+
+
+@pytest.mark.parametrize("n, small", [(9, True), (10, True), (15, False)])
+def test_dp_sees_half_cube_for_antipodal_radii(n, small, monkeypatch):
+    if small:
+        monkeypatch.setattr(core, "BLOCK", 7)
+        monkeypatch.setattr(experiments, "CHUNK", 128)
+    columns = []
+
+    def counted(stack, r):
+        columns.append(stack.shape[1])
+        return vr_pointwise_values(stack, r)
+
+    monkeypatch.setattr(experiments, "vr_pointwise_values", counted)
+    f = CubeFunction(n, np.random.default_rng(3).standard_normal(1 << n))
+    half, full = 1 << (n - 1), 1 << n
+    parity = half if n % 2 == 0 else full           # k + (n - k) keeps the parity of n
+    for radii, points in ((range(n + 1), half), (parity_radii(n, 0), parity),
+                          (parity_radii(n, 1), parity), ([0, 1, n], full)):
+        columns.clear()
+        variation_norm_ratio(f, radii, [1.0, 2.0])
+        assert sum(columns) == points
+
+
+def test_half_cube_radii_checked_once_and_first():
+    n = 6
+    f = CubeFunction(n, np.random.default_rng(4).standard_normal(1 << n))
+    assert variation_norm_ratio(f, iter(range(n + 1)), 2.0) == variation_norm_ratio(f, range(n + 1), 2.0)
+    with pytest.raises(ValueError, match="radius -1"):    # -1 + (n + 1) = n
+        variation_norm_ratio(f, [-1, n + 1], 2.0)
+
+
+def test_pointwise_variation_is_antipodally_symmetric():
+    # v[x XOR (2^n - 1)] is V_r of the column at x reversed
+    n = 11
+    rng = np.random.default_rng(5)
+    for f in _oracle_inputs(n, rng):
+        v = vr_pointwise_values(spherical_mean_stack(f, range(n + 1)), [1.0, 2.0, 2.5, 3.0])
+        flipped = v[:, ::-1]
+        assert (np.abs(flipped - v) <= 4 * np.spacing(np.maximum(v, flipped))).all()

@@ -245,6 +245,19 @@ def test_antipodal_identity():
     assert res["passed"] and res["value"] < 1e-10
 
 
+@pytest.mark.parametrize("name, per_f", [("spherical_cross_validation", lambda n: 1 + (n + 1)),
+                                          ("antipodal_max_violation", lambda n: 1 + 2 * (n // 2 + 1))])
+def test_check_transforms_each_f_forward_once(name, per_f, monkeypatch):
+    # one forward transform per random f, then one inverse per engine S_k;
+    # the direct side convolves through `core` and is not counted
+    calls = []
+    fwht = operators.fwht
+    monkeypatch.setattr(operators, "fwht", lambda values: calls.append(1) or fwht(values))
+    dims = [6, 9]
+    assert run_check(name, dims=dims, seed=0)["passed"]
+    assert len(calls) == sum(per_f(n) for n in dims)
+
+
 def test_result_above_physical_memory_raises(monkeypatch):
     n = 8
     rng = np.random.default_rng(16)

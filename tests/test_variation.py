@@ -262,6 +262,19 @@ def test_vr_large_r_does_not_underflow():
     assert np.isfinite(vr_pointwise_values(seq[:, None], 3)).all()
 
 
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+def test_vr_tiny_spread_on_huge_values_does_not_flush(r):
+    # |a_0| 2^s would overflow, so a_0 is subtracted before scaling; capping
+    # s instead scaled the 1e-300 jump to about 1e-293, whose square is 0
+    seq = np.array([1e300, 1e300 + 1e-300j])
+    assert vr_exact(seq, r).value == pytest.approx(1e-300, rel=1e-15, abs=0)
+    other = np.array([1.0 + 2.0j, -3.0 + 0.5j])
+    values = vr_pointwise_values(np.column_stack([seq, other]), r)
+    assert values[0] == pytest.approx(1e-300, rel=1e-15, abs=0)
+    # a column whose values fit is scaled as it is, beside one that is shifted
+    assert values[1] == vr_pointwise_values(other[:, None], r)[0]
+
+
 # Property tests: each V_r route (the scalar DP and one column through the
 # pointwise DP) against the brute-force oracle on transformed sequences.  The
 # oracle does not scale, so entries are 0 or of size 1e-3..1e3, where no
