@@ -27,13 +27,10 @@ from .operators import (
     spherical_mean_stack,
 )
 from .variation import (
-    VariationResult,
     check_chain_lemma,
     check_variation_properties,
     dyadic_floor,
     dyadic_partition,
-    vr_bruteforce,
-    vr_exact,
     vr_pointwise_values,
 )
 from .experiments import (

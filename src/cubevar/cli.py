@@ -199,11 +199,10 @@ def cmd_counterexample(args) -> int:
 
 def cmd_parity_scan(args) -> int:
     cfg = _merge_config(args)
-    threads = _threads(args)
     report = ExperimentReport("parity-scan", asdict(cfg))
     parities = (0, 1) if cfg.q is None else (cfg.q,)
-    grid = [(n, r, q) for n in cfg.n_list for r in cfg.r_list for q in parities]
-    report.extend(map_ordered(lambda t: parity_character_scan(*t), grid, threads))
+    report.extend(parity_character_scan(n, r, q)
+                  for n in cfg.n_list for r in cfg.r_list for q in parities)
     _emit(report, args.out, args.format)
     return 0
 
@@ -296,7 +295,7 @@ COMMAND_FLAGS = {
     "verify": ("seed", "trials"),
     "kraw-table": (),
     "counterexample": ("r", "seed", "threads", "kind"),
-    "parity-scan": ("r", "q", "threads"),
+    "parity-scan": ("r", "q"),
     "phi-psi": (),
     "half-spectrum": ("r", "seed", "trials"),
     "bench": ("seed",),

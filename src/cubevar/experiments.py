@@ -17,7 +17,7 @@ import numpy as np
 from .core import SPECTRAL, CubeFunction, character, popcounts
 from .krawtchouk import build_table
 from .operators import _kraw_rows, spherical_mean_blocks
-from .variation import vr_exact, vr_pointwise_values
+from .variation import vr_pointwise_values
 
 CSV_HEADER = ["experiment", "n", "r", "q", "metric", "value", "witness"]
 
@@ -146,12 +146,16 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
     return ratios if np.ndim(r) else ratios[0]
 
 
-def character_variation(n: int, weight: int, radii, r: float) -> float:
+def character_variation(n: int, weight: int, radii, r):
     """Ratio for f = chi_y with |y| = weight: equals V_r of the multiplier
-    sequence (kappa_k(weight))_k since S_k chi_y = kappa_k(|y|) chi_y."""
+    sequence (kappa_k(weight))_k since S_k chi_y = kappa_k(|y|) chi_y.
+
+    `r` is one order, for one ratio, or a sequence of orders, for a list of
+    ratios in the given order, all from one `vr_pointwise_values` call."""
     if not (isinstance(weight, (int, np.integer)) and 0 <= weight <= n):
         raise ValueError(f"weight {weight!r} outside 0..{n}")
-    return vr_exact(_kraw_rows(n, radii)[:, weight], r).value
+    values = vr_pointwise_values(_kraw_rows(n, radii)[:, [weight]], r)
+    return values[:, 0].tolist() if np.ndim(r) else float(values[0])
 
 
 def counterexample_all_ones(n: int, r_list) -> list:
@@ -230,8 +234,7 @@ def counterexample_corollary(n: int, r_list, alpha: float) -> list:
             for r in r_list
         ]
     records = []
-    for r in r_list:
-        ratio = character_variation(n, weight, range(n + 1), r)
+    for r, ratio in zip(r_list, character_variation(n, weight, range(n + 1), r_list)):
         bound = (2.0 / 3.0) * math.floor(n / (3.0 * a_n)) ** (1.0 / r)
         records.append({
             "n": n,
@@ -259,9 +262,9 @@ def parity_radii(n: int, q: int) -> list:
 
 def parity_character_scan(n: int, r: float, q: int) -> dict:
     """Max over spectral levels m of V_r of the parity-restricted multiplier
-    sequence; this is the character supremum of the fixed-parity operator."""
-    radii = parity_radii(n, q)
-    values = [character_variation(n, m, radii, r) for m in range(n + 1)]
+    sequence; this is the character supremum of the fixed-parity operator.
+    Every level's column runs through one `vr_pointwise_values` call."""
+    values = vr_pointwise_values(_kraw_rows(n, parity_radii(n, q)), r).tolist()
     argmax = int(np.argmax(values))
     return {
         "n": n,

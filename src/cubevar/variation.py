@@ -2,25 +2,17 @@
 
 The exact value is a longest-path computation on the index DAG: the objective
 is additive in r-th powers of jumps, so a quadratic DP over the last chosen
-index is exact.  A subset-enumeration brute force serves as the independent
-oracle for short sequences.
+index is exact.  `vr_pointwise_values` runs it on every column of a matrix at
+once; it is the one V_r engine of the package, behind the pipeline, the
+character scans and the lemma checks alike.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
-
-
-@dataclass
-class VariationResult:
-    r: float
-    value: float
-    chain: list
 
 
 def _check_order(r: float) -> None:
@@ -29,89 +21,30 @@ def _check_order(r: float) -> None:
 
 
 def _unit_shift(spread, first):
-    """Exponent s by which a sequence is scaled, by 2^s, before its DP, and
-    whether a_0 is subtracted from it first (elementwise; False for every
-    sequence when no sequence is).
+    """Exponents s by which the columns are scaled, by 2^s, before their DP,
+    and where a_0 is subtracted from a column first (a bool mask, or False
+    for every column when no column needs it).
 
-    `spread` is max_j |a_j - a_0| and `first` is |a_0|.  With s from the
-    spread, spread * 2^s < 1/2, so every |jump| (at most twice the spread)
-    is below 1: no |jump|^r overflows, and sequences whose jumps are large
-    or tiny against 1 (1e200, 1e-120) or against their values (1 and
+    `spread` is max_j |a_j - a_0| and `first` is |a_0|, per column.  With s
+    from the spread, spread * 2^s < 1/2, so every |jump| (at most twice the
+    spread) is below 1: no |jump|^r overflows, and sequences whose jumps are
+    large or tiny against 1 (1e200, 1e-120) or against their values (1 and
     1 + 2^-20) keep their r-th powers in range.  A scaled value can reach
     |a_0| 2^s, so where that could pass 2^1022 (complex values whose spread
     is far below their size) a_0 is subtracted first: the values are then
     the a_j - a_0, at most the spread, and the jumps keep their size where
-    a cap on s would flush them to 0.  Every other sequence is scaled as it
+    a cap on s would flush them to 0.  Every other column is scaled as it
     is.  V_r is translation invariant and 1-homogeneous, and a power of two
     scales exactly, so V_r of the scaled sequence times 2^-s is V_r of the
     sequence up to the rounding of the r-th powers and root (none for r = 1,
     nor for r = 2 where the root is `np.sqrt`).  s is at most 1023 so that
     2^s is a finite double.
     """
-    if isinstance(spread, float):        # one sequence: skip numpy's scalar overhead
-        shift = min(-(math.frexp(spread)[1] + 1), 1023)
-        return shift, shift > 1021 - math.frexp(first)[1]
     shift = np.minimum(-(np.frexp(spread)[1] + 1), 1023)
     top = 1021 - np.frexp(first)[1]
     # a mask only where some column may need one: a bool mask on every
     # block raised the peak RSS of the n = 20 witness by about 0.2 MB
     return shift, shift > top if shift.max() > top.min() else False
-
-
-def vr_exact(values, r: float) -> VariationResult:
-    """Exact r-variation of a finite sequence plus one maximizing chain.
-
-    The chain reported is the lexicographically smallest maximizer (suffix DP
-    with strict-improvement updates, scanned left to right).  The sequence is
-    scaled by a power of two first (`_unit_shift`).  A real sequence runs in
-    float64 and a complex one in complex128.
-    """
-    a = np.asarray(values)
-    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
-    if a.size == 0:
-        raise ValueError("variation of an empty sequence is undefined")
-    _check_order(r)
-    a = a.tolist()            # Python scalars: arithmetic without numpy overhead
-    shift, recenter = _unit_shift(max(abs(v - a[0]) for v in a), abs(a[0]))
-    if recenter:
-        a = [v - a[0] for v in a]
-    scale = math.ldexp(1.0, shift)
-    a = [v * scale for v in a]
-    m = len(a)
-    down = [0.0] * m          # best sum of |jump|^r over chains starting at j
-    nxt = [None] * m
-    for j in range(m - 2, -1, -1):
-        best, choice = 0.0, None
-        for k in range(j + 1, m):
-            cand = abs(a[j] - a[k]) ** r + down[k]
-            if cand > best:
-                best, choice = cand, k
-        down[j], nxt[j] = best, choice
-    total = max(down)
-    start = down.index(total)
-    chain = [start]
-    while nxt[chain[-1]] is not None:
-        chain.append(nxt[chain[-1]])
-    return VariationResult(r, math.ldexp(total ** (1.0 / r), -shift), chain)
-
-
-def vr_bruteforce(values, r: float) -> float:
-    """Oracle: exhaustive maximum over all index subsets taken as chains."""
-    a = np.asarray(values, dtype=np.complex128)
-    if a.size == 0:
-        raise ValueError("variation of an empty sequence is undefined")
-    if a.size > 16:
-        raise ValueError("brute force capped at 16 entries")
-    _check_order(r)
-    best = 0.0
-    idx = range(a.size)
-    for j in range(2, a.size + 1):
-        for chain in itertools.combinations(idx, j):
-            s = 0.0
-            for i0, i1 in zip(chain, chain[1:]):
-                s += abs(a[i0] - a[i1]) ** r
-            best = max(best, s)
-    return best ** (1.0 / r)
 
 
 def _orders(r) -> list:
@@ -221,8 +154,8 @@ def _vr_block(block, orders, scaled, diff, best, jump, square, cand, out) -> Non
 
 def dyadic_floor(t: float) -> float:
     """Largest power of two (any integer exponent) not exceeding t."""
-    if t <= 0:
-        raise ValueError("dyadic floor defined for positive t only")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"dyadic floor defined for finite positive t only, got {t}")
     mantissa, exponent = math.frexp(t)   # t = mantissa * 2^exponent, mantissa in [0.5, 1)
     return math.ldexp(1.0, exponent - 1)
 
@@ -251,8 +184,27 @@ def _rand_sequence(rng, max_len=12):
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
 
+def _ragged_values(sequences, orders) -> np.ndarray:
+    """`vr_pointwise_values` of sequences of different lengths in one call:
+    one row per order, one column per sequence.  Each sequence is padded to
+    the longest by repeating its last value; that adds only zero jumps, so
+    each column keeps the bits of the sequence alone."""
+    complex_ = any(np.iscomplexobj(seq) for seq in sequences)
+    stack = np.empty((max(map(len, sequences)), len(sequences)),
+                     dtype=np.complex128 if complex_ else np.float64)
+    for j, seq in enumerate(sequences):
+        stack[:len(seq), j] = seq
+        stack[len(seq):, j] = seq[-1]
+    return vr_pointwise_values(stack, orders)
+
+
 #: The orders r of the seminorm property sweep.
 SWEEP_ORDERS = (1.0, 2.0, 3.0)
+
+#: Trials whose sequences share one `vr_pointwise_values` call in the property
+#: sweep.  One call for all 200 trials of `verify` (about 5.2k columns) raised
+#: its peak RSS by 7 MB; groups of 25 trace about 1.1 MB.
+SWEEP_GROUP = 25
 
 
 def check_variation_properties(trials: int, seed: int = 0) -> dict:
@@ -261,7 +213,9 @@ def check_variation_properties(trials: int, seed: int = 0) -> dict:
 
     Covers: monotonicity in r, subset monotonicity, reparametrization
     invariance, the triangle inequality, the ell^r bound with constant 2, and
-    the dyadic decomposition bound with the explicit constant 3.
+    the dyadic decomposition bound with the explicit constant 3.  The
+    sequences of SWEEP_GROUP trials are drawn first and then evaluated, at
+    every order, in one `vr_pointwise_values` call.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -274,56 +228,61 @@ def check_variation_properties(trials: int, seed: int = 0) -> dict:
         "ell_r_bound": math.inf,
         "dyadic_decomposition": math.inf,
     }
-    for _ in range(trials):
-        a = _rand_sequence(rng)
-        m = a.size
-        for r in SWEEP_ORDERS:
-            va = vr_exact(a, r).value
+    sequences = []
+
+    def add(seq) -> int:
+        sequences.append(np.asarray(seq))
+        return len(sequences) - 1
+
+    for first in range(0, trials, SWEEP_GROUP):
+        sequences.clear()
+        cases = []
+        for _ in range(min(SWEEP_GROUP, trials - first)):
+            a = _rand_sequence(rng)
+            m, ia = a.size, add(a)
+            for k, r in enumerate(SWEEP_ORDERS):
+                keep = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+                phi = np.sort(rng.integers(0, m, size=int(rng.integers(2, 2 * m))))
+                b = _rand_sequence(rng, max_len=m)[:m]
+                z = _dyadic_closed_set(rng)
+                az = rng.standard_normal(len(z)) + 1j * rng.standard_normal(len(z))
+                lookup = dict(zip(z, az))
+                dyadic = [lookup[t] for t in z if t == int(dyadic_floor(t))]
+                blocks = []
+                j = 1
+                while j <= z[-1]:
+                    block = [lookup[t] for t in z if j <= t < 2 * j]
+                    if block:
+                        blocks.append(add(block))
+                    j *= 2
+                cases.append((
+                    k, r, ia, add(a[keep]), add(a[phi]), add(a[np.unique(phi)]),
+                    (add(b), add(a + b)) if b.size == m else None,
+                    2.0 * float((np.abs(a) ** r).sum() ** (1 / r)),
+                    add(az), add(dyadic), blocks,
+                ))
+        values = _ragged_values(sequences, SWEEP_ORDERS).tolist()
+        for k, r, ia, ikeep, iphi, iimage, triangle, ell_r, iz, idyadic, blocks in cases:
+            v = values[k]
             # (7): V_{r2} <= V_{r1} for r1 <= r2
-            for r2 in SWEEP_ORDERS:
+            for v2, r2 in zip(values, SWEEP_ORDERS):
                 if r2 >= r:
-                    slack["monotone_in_r"] = min(
-                        slack["monotone_in_r"], va - vr_exact(a, r2).value
-                    )
+                    slack["monotone_in_r"] = min(slack["monotone_in_r"], v[ia] - v2[ia])
             # subset monotonicity
-            keep = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
-            slack["subset_monotone"] = min(
-                slack["subset_monotone"], va - vr_exact(a[keep], r).value
-            )
+            slack["subset_monotone"] = min(slack["subset_monotone"], v[ia] - v[ikeep])
             # (23): precomposition with a nondecreasing map does not change the value
-            phi = np.sort(rng.integers(0, m, size=int(rng.integers(2, 2 * m))))
-            image = np.unique(phi)
-            dev = abs(vr_exact(a[phi], r).value - vr_exact(a[image], r).value)
-            slack["reparametrization"] = min(slack["reparametrization"], -dev)
+            slack["reparametrization"] = min(slack["reparametrization"], -abs(v[iphi] - v[iimage]))
             # (5): triangle inequality
-            b = _rand_sequence(rng, max_len=m)[:m]
-            if b.size == m:
-                slack["triangle"] = min(
-                    slack["triangle"],
-                    va + vr_exact(b, r).value - vr_exact(a + b, r).value,
-                )
+            if triangle:
+                ib, isum = triangle
+                slack["triangle"] = min(slack["triangle"], v[ia] + v[ib] - v[isum])
             # (6): V_r <= 2 (sum |a_t|^r)^{1/r}
-            slack["ell_r_bound"] = min(
-                slack["ell_r_bound"], 2.0 * float((np.abs(a) ** r).sum() ** (1 / r)) - va
-            )
-            # (8): with Z in the positive integers closed under the dyadic floor
-            z = _dyadic_closed_set(rng)
-            az = rng.standard_normal(len(z)) + 1j * rng.standard_normal(len(z))
-            lookup = dict(zip(z, az))
-            vz = vr_exact(az, r).value
-            dyadic_pts = [t for t in z if t == int(dyadic_floor(t))]
-            v_dyadic = (
-                vr_exact([lookup[t] for t in dyadic_pts], r).value if dyadic_pts else 0.0
-            )
-            block_sum = 0.0
-            k = 1
-            while k <= z[-1]:
-                block = [lookup[t] for t in z if k <= t < 2 * k]
-                if block:
-                    block_sum += vr_exact(block, r).value ** r
-                k *= 2
-            bound = 3.0 * block_sum ** (1 / r) + v_dyadic
-            slack["dyadic_decomposition"] = min(slack["dyadic_decomposition"], bound - vz)
+            slack["ell_r_bound"] = min(slack["ell_r_bound"], ell_r - v[ia])
+            # (8): with Z in the positive integers closed under the dyadic
+            # floor, which puts at least one power of two in Z
+            block_sum = sum(v[i] ** r for i in blocks)
+            bound = 3.0 * block_sum ** (1 / r) + v[idyadic]
+            slack["dyadic_decomposition"] = min(slack["dyadic_decomposition"], bound - v[iz])
     slack["worst"] = min(v for v in slack.values())
     return slack
 
@@ -342,9 +301,9 @@ def check_chain_lemma(l: int, M: int, s: float, trials: int, seed: int = 0) -> d
         V_s(a_k : k in {0..2^l} cap (-inf, M])
             <= 2^{1-1/s} sum_g ( sum_{h 2^g <= M} |a_{(h-1)2^g} - a_{h 2^g}|^s )^{1/s}.
 
-    Returns the worst slack (must be >= 0)."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    Every trial's sequence is drawn first; their V_s come from one
+    `vr_pointwise_values` call.  Returns the worst slack (must be >= 0)."""
+    _check_order(s)
     if trials < 1:
         raise ValueError("need at least one trial")
     if l < 0 or l > 10:
@@ -353,11 +312,12 @@ def check_chain_lemma(l: int, M: int, s: float, trials: int, seed: int = 0) -> d
     domain = [k for k in range((1 << l) + 1) if k <= M]
     if len(domain) == 0:
         raise ValueError("empty domain")
+    draws = np.empty((len(domain), trials), dtype=np.complex128)
+    for t in range(trials):
+        draws[:, t] = rng.standard_normal(len(domain)) + 1j * rng.standard_normal(len(domain))
     worst = math.inf
-    for _ in range(trials):
-        a = rng.standard_normal(len(domain)) + 1j * rng.standard_normal(len(domain))
+    for a, lhs in zip(draws.T, vr_pointwise_values(draws, s).tolist()):
         lookup = dict(zip(domain, a))
-        lhs = vr_exact(a, s).value
         rhs = 0.0
         for g in range(l + 1):
             inner = 0.0

@@ -18,13 +18,12 @@ from cubevar import (
     phi_scan,
     psi_scan,
     spherical_mean_stack,
-    vr_bruteforce,
-    vr_exact,
     vr_pointwise_values,
 )
 from cubevar.checks import run_check
 from cubevar.cli import main
 from cubevar.experiments import ExperimentReport
+from variation_oracles import vr_bruteforce, vr_exact
 
 
 def report_line(num, name, ok):
@@ -69,10 +68,12 @@ def test_05_variation_dp_vs_bruteforce():
     for _ in range(1000):
         m = int(rng.integers(2, 13))
         a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        for r in (1.0, 1.5, 2.0, 3.0):
-            dp = vr_exact(a, r).value
+        orders = (1.0, 1.5, 2.0, 3.0)
+        # the scalar oracle DP and the package's engine, one column
+        for r, engine in zip(orders, vr_pointwise_values(a[:, None], orders)[:, 0]):
             bf = vr_bruteforce(a, r)
-            ok &= abs(dp - bf) <= 1e-12 * max(1.0, abs(bf))
+            for dp in (vr_exact(a, r), engine):
+                ok &= abs(dp - bf) <= 1e-12 * max(1.0, abs(bf))
     report_line(5, "variation-dp-vs-bruteforce", ok)
 
 
@@ -137,7 +138,7 @@ def test_10_parity_vs_full_blowup(tmp_path):
             parity_max[q][n] = rec["value"]
             report.add(rec)
         full = max(
-            vr_exact(table.float[:, m], r).value for m in range(n + 1)
+            vr_exact(table.float[:, m], r) for m in range(n + 1)
         )
         report.add({"n": n, "r": r, "q": None, "metric": "full_range_character_max", "value": full})
         full_ok &= full >= 2 * n ** (1 / r) - 1e-9

@@ -165,14 +165,14 @@ def test_env_threads_fallback(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "map_ordered", record_threads)
     monkeypatch.setenv("CUBEVAR_THREADS", "2")
-    for command in ("counterexample", "parity-scan"):
-        assert main([command, "--n", "4", "--out", str(tmp_path), "--format", "json"]) == 0
-    assert main(["parity-scan", "--n", "4", "--threads", "3",
+    assert main(["counterexample", "--n", "4", "--out", str(tmp_path), "--format", "json"]) == 0
+    assert main(["counterexample", "--n", "4", "--threads", "3",
                  "--out", str(tmp_path), "--format", "json"]) == 0
-    assert seen == [2, 2, 3]
+    assert seen == [2, 3]
 
 
-@pytest.mark.parametrize("command", ["verify", "kraw-table", "phi-psi", "half-spectrum", "bench"])
+@pytest.mark.parametrize("command", ["verify", "kraw-table", "parity-scan", "phi-psi",
+                                     "half-spectrum", "bench"])
 def test_threads_only_where_read(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--n", "6", "--threads", "3", "--out", str(tmp_path)])
@@ -209,13 +209,11 @@ def test_orders_in_one_pass_match_single_runs(tmp_path, argv, name):
 
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_threads_below_one_exit_2(tmp_path, capsys, monkeypatch, count):
-    for command in ("counterexample", "parity-scan"):
-        assert main([command, "--n", "4", "--threads", count, "--out", str(tmp_path / "flag")]) == 2
-        assert "--threads" in capsys.readouterr().err
+    assert main(["counterexample", "--n", "4", "--threads", count, "--out", str(tmp_path / "flag")]) == 2
+    assert "--threads" in capsys.readouterr().err
     monkeypatch.setenv("CUBEVAR_THREADS", count)
-    for command in ("counterexample", "parity-scan"):
-        assert main([command, "--n", "4", "--out", str(tmp_path / "env")]) == 2
-        assert "CUBEVAR_THREADS" in capsys.readouterr().err
+    assert main(["counterexample", "--n", "4", "--out", str(tmp_path / "env")]) == 2
+    assert "CUBEVAR_THREADS" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -26,6 +26,7 @@ from cubevar import (
     vr_pointwise_values,
 )
 from cubevar.experiments import dyadic_radii, parity_radii, random_halfspectrum_function
+from variation_oracles import vr_exact
 
 
 def test_config_validation():
@@ -157,6 +158,40 @@ def test_parity_character_scan_endpoints():
         assert per_level[0] == 0.0    # constant multiplier sequence at weight 0
         assert per_level[n] == 0.0    # fixed parity kills the (-1)^k alternation
         assert rec["value"] == max(per_level)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 2.5, 3.0])
+def test_parity_character_scan_matches_oracle(r):
+    for n in range(4, 65):
+        table = build_table(n).float
+        for q in (0, 1):
+            radii = parity_radii(n, q)
+            per_level = parity_character_scan(n, r, q)["witness"]["per_level"]
+            assert all(type(v) is float for v in per_level)
+            expected = [vr_exact(table[radii, m], r) for m in range(n + 1)]
+            # V_1 is the engine's sum of adjacent jumps and the oracle's best
+            # chain: two sums of up to len(radii) terms, rounded apart (5 ulp
+            # at n = 63)
+            rel = len(radii) * np.finfo(float).eps if r == 1 else 1e-15
+            assert per_level == pytest.approx(expected, rel=rel, abs=0)
+
+
+def test_character_scans_run_one_dp_call(monkeypatch):
+    calls = []
+
+    def counted(stack, r):
+        calls.append((np.shape(stack), r))
+        return vr_pointwise_values(stack, r)
+
+    monkeypatch.setattr(experiments, "vr_pointwise_values", counted)
+    parity_character_scan(12, 2.5, 1)
+    assert calls == [((6, 13), 2.5)]
+    calls.clear()
+    records = counterexample_corollary(16, [1.0, 2.0, 3.0], 0.5)
+    assert calls == [((17, 1), [1.0, 2.0, 3.0])]
+    weight = records[0]["witness"]["weight"]
+    assert [rec["value"] for rec in records] == [
+        character_variation(16, weight, range(17), r) for r in (1.0, 2.0, 3.0)]
 
 
 def test_parity_scan_reflection_symmetry():

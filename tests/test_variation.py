@@ -1,6 +1,5 @@
-import json
 import math
-from dataclasses import asdict
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,34 +16,33 @@ from cubevar import (
     dyadic_floor,
     dyadic_partition,
     spherical_mean_multiplier,
-    vr_bruteforce,
-    vr_exact,
+    variation,
     vr_pointwise_values,
 )
 from cubevar.checks import run_check
+from variation_oracles import vr_bruteforce, vr_exact
 
 
 def test_vr_constant_is_zero():
     for r in (1.0, 2.0, 3.5):
-        assert vr_exact([2.0] * 7, r).value == 0.0
+        assert vr_exact([2.0] * 7, r) == 0.0
+    assert vr_exact([1.0, 1.0, 1.0], 2.0) == 0.0
 
 
 def test_vr_alternating():
     for n in (1, 5, 10):
         for r in (1.0, 2.0, 3.0):
             seq = [(-1.0) ** k for k in range(n + 1)]
-            assert vr_exact(seq, r).value == pytest.approx(2 * n ** (1 / r), rel=1e-13)
+            assert vr_exact(seq, r) == pytest.approx(2 * n ** (1 / r), rel=1e-13)
 
 
 def test_vr_hand_example():
-    res = vr_exact([0, 3, 1, 2], 2.0)
-    assert res.value == pytest.approx(math.sqrt(14))
-    assert res.chain == [0, 1, 2, 3]
+    assert vr_exact([0, 3, 1, 2], 2.0) == pytest.approx(math.sqrt(14))
 
 
 def test_vr_single_element_and_errors():
     assert vr_bruteforce([5.0], 2.0) == 0.0
-    assert vr_exact([5.0], 2.0).value == 0.0
+    assert vr_exact([5.0], 2.0) == 0.0
     with pytest.raises(ValueError):
         vr_exact([], 2.0)
     for r in (0.5, math.inf, math.nan):
@@ -58,7 +56,7 @@ def test_vr_r1_is_total_variation():
     rng = np.random.default_rng(0)
     a = rng.standard_normal(9)
     tv = np.abs(np.diff(a)).sum()
-    assert vr_exact(a, 1.0).value == pytest.approx(tv, rel=1e-13)
+    assert vr_exact(a, 1.0) == pytest.approx(tv, rel=1e-13)
 
 
 def test_vr_matches_bruteforce():
@@ -67,7 +65,7 @@ def test_vr_matches_bruteforce():
         m = int(rng.integers(2, 13))
         a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         for r in (1.0, 1.5, 2.0, 3.0):
-            dp = vr_exact(a, r).value
+            dp = vr_exact(a, r)
             bf = vr_bruteforce(a, r)
             assert dp == pytest.approx(bf, rel=1e-12, abs=1e-12)
 
@@ -76,16 +74,9 @@ def test_vr_homogeneity():
     rng = np.random.default_rng(2)
     a = rng.standard_normal(8)
     for lam in (0.0, 0.7, -3.0):
-        assert vr_exact(lam * a, 2.0).value == pytest.approx(
-            abs(lam) * vr_exact(a, 2.0).value, abs=1e-13
+        assert vr_exact(lam * a, 2.0) == pytest.approx(
+            abs(lam) * vr_exact(a, 2.0), abs=1e-13
         )
-
-
-def test_vr_chain_is_deterministic_and_serializable():
-    res = vr_exact([1.0, 1.0, 1.0], 2.0)
-    assert res.chain == [0]
-    obj = json.loads(json.dumps(asdict(res)))
-    assert obj == {"r": 2.0, "value": 0.0, "chain": [0]}
 
 
 def test_dyadic_floor():
@@ -93,8 +84,9 @@ def test_dyadic_floor():
     assert dyadic_floor(5.0) == 4.0
     assert dyadic_floor(0.7) == 0.5
     assert dyadic_floor(1.0) == 1.0
-    with pytest.raises(ValueError):
-        dyadic_floor(0.0)
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            dyadic_floor(t)
 
 
 def test_dyadic_partition_examples():
@@ -148,7 +140,7 @@ def test_vr_pointwise_matches_per_point():
     out = vr_pointwise_values(seqs, 2.0)
     for x in range(0, 1 << n, 5):
         assert out[x] == pytest.approx(
-            vr_exact(seqs[:, x], 2.0).value, rel=1e-12, abs=1e-12
+            vr_exact(seqs[:, x], 2.0), rel=1e-12, abs=1e-12
         )
 
 
@@ -179,7 +171,7 @@ def test_vr_no_overflow_or_underflow(scale):
     with np.errstate(all="raise"):
         for r in (1.0, 2.0, 3.0, 2.5):
             expected = 2 ** (1 / r) * scale
-            assert vr_exact(seq, r).value == pytest.approx(expected, rel=1e-14)
+            assert vr_exact(seq, r) == pytest.approx(expected, rel=1e-14)
             column = vr_pointwise_values(np.array(seq)[:, None], r)
             assert column[0] == pytest.approx(expected, rel=1e-14)
 
@@ -201,7 +193,7 @@ def test_vr_pointwise_independent_of_block_width(monkeypatch):
             assert np.array_equal(vr_pointwise_values(s, r), v)
         assert np.array_equal(vr_pointwise_values(s, r_list), values)
         x = int(rng.integers(points))
-        assert values[1][x] == pytest.approx(vr_exact(s[:, x], 2.0).value, rel=1e-12)
+        assert values[1][x] == pytest.approx(vr_exact(s[:, x], 2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("r_list", [[2.0, 3.0, 2.5, 4.0], [3.0, 2.0, 2.0, 4.0, 1.0], [4.0, 2.5, 3.0, 2.0, 3.0]])
@@ -241,24 +233,27 @@ def test_vr_r1_sum_matches_chain_dp():
 
 def test_vr_exact_real_columns_match_complex_cast():
     # a real sequence runs in Python floats, a complex one in Python complex;
-    # |complex(x, 0)| is |x| exactly, so the two give the same bits
+    # |complex(x, 0)| is |x| exactly, so the two give the same bits, in the
+    # oracle and in the engine
+    orders = [1.0, 2.0, 2.5, 3.0]
     for n in (9, 16, 33):
         table = build_table(n).float
+        cast = table.astype(np.complex128)
         for w in range(n + 1):
-            for r in (1.0, 2.0, 2.5, 3.0):
-                real = vr_exact(table[:, w], r)
-                cast = vr_exact(table[:, w].astype(np.complex128), r)
-                assert (real.value, real.chain) == (cast.value, cast.chain)
+            for r in orders:
+                assert vr_exact(table[:, w], r) == vr_exact(cast[:, w], r)
+        for r in (*orders, orders):
+            assert np.array_equal(vr_pointwise_values(table, r), vr_pointwise_values(cast, r))
 
 
 def test_vr_large_r_does_not_underflow():
     # jumps of 2^-20 against values near 1: scaling by the largest |value|
     # left (2^-21)^100, which flushes to zero
-    assert vr_exact([1, 1 + 2**-20], 100).value == 2**-20
+    assert vr_exact([1, 1 + 2**-20], 100) == 2**-20
     assert vr_pointwise_values(np.array([[1.0], [1 + 2**-20]]), 100)[0] == 2**-20
     # a spread far below the values' size must not overflow the scaled values
     seq = np.array([1e300, 1e300 + 1e-300j, 1e300])
-    assert math.isfinite(vr_exact(seq, 3).value)
+    assert math.isfinite(vr_exact(seq, 3))
     assert np.isfinite(vr_pointwise_values(seq[:, None], 3)).all()
 
 
@@ -267,7 +262,7 @@ def test_vr_tiny_spread_on_huge_values_does_not_flush(r):
     # |a_0| 2^s would overflow, so a_0 is subtracted before scaling; capping
     # s instead scaled the 1e-300 jump to about 1e-293, whose square is 0
     seq = np.array([1e300, 1e300 + 1e-300j])
-    assert vr_exact(seq, r).value == pytest.approx(1e-300, rel=1e-15, abs=0)
+    assert vr_exact(seq, r) == pytest.approx(1e-300, rel=1e-15, abs=0)
     other = np.array([1.0 + 2.0j, -3.0 + 0.5j])
     values = vr_pointwise_values(np.column_stack([seq, other]), r)
     assert values[0] == pytest.approx(1e-300, rel=1e-15, abs=0)
@@ -289,7 +284,7 @@ EPS = np.finfo(float).eps
 
 
 def routes(a, r):
-    return vr_exact(a, r).value, vr_pointwise_values(a[:, None], r)[0]
+    return vr_exact(a, r), vr_pointwise_values(a[:, None], r)[0]
 
 
 def assert_routes_match(a, r, expected, abs_tol=0.0):
@@ -344,3 +339,52 @@ def test_vr_property_r1_columns(columns):
     values = vr_pointwise_values(stack, 1.0)
     for column, value in zip(columns, values):
         assert value == pytest.approx(vr_bruteforce(column, 1.0), rel=1e-12, abs=1e-300)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(
+    st.lists(st.lists(ENTRIES, min_size=1, max_size=16), min_size=1, max_size=6),
+    st.lists(st.lists(st.builds(complex, ENTRIES, ENTRIES), min_size=1, max_size=16),
+             min_size=1, max_size=6),
+).map(lambda seqs: [np.array(seq) for seq in seqs]))
+def test_vr_padded_columns_match_unpadded(sequences):
+    # ragged sequences padded by their last value into one stack give the
+    # bits of each sequence alone, at every order
+    orders = [1.0, 2.0, 2.5, 3.0]
+    values = variation._ragged_values(sequences, orders)
+    assert values.shape == (len(orders), len(sequences))
+    for seq, column in zip(sequences, values.T):
+        assert np.array_equal(column, vr_pointwise_values(seq[:, None], orders)[:, 0])
+
+
+def test_variation_properties_draw_order():
+    # the sweep's slacks at seed 0 as the scalar DP gave them, one sequence
+    # at a time: the batched sweep draws the same sequences in the same order
+    report = check_variation_properties(200, seed=0)
+    assert report["triangle"] == pytest.approx(5.231964334750927e-05, rel=1e-14)
+    assert report["ell_r_bound"] == pytest.approx(0.3731765106331708, rel=1e-14)
+    assert report["dyadic_decomposition"] == pytest.approx(0.07348609218607605, rel=1e-14)
+
+
+def test_variation_properties_sweep_memory():
+    # the sweep evaluates SWEEP_GROUP trials per call: all 200 in one call
+    # traced about 7 MB
+    tracemalloc.start()
+    try:
+        check_variation_properties(200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_chain_lemma_runs_one_dp_call(monkeypatch):
+    calls = []
+
+    def counted(stack, r):
+        calls.append(np.shape(stack))
+        return vr_pointwise_values(stack, r)
+
+    monkeypatch.setattr(variation, "vr_pointwise_values", counted)
+    check_chain_lemma(l=5, M=24, s=2.0, trials=40, seed=3)
+    assert calls == [(25, 40)]
