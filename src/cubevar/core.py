@@ -22,9 +22,10 @@ SPECTRAL = "spectral"
 MAX_DIM = 26
 
 #: Points per column block when a family of functions is streamed: the
-#: operator engine yields its (rows, 2^n) result this many points at a time
-#: and the pointwise V_r DP works through its input in blocks this wide, so
-#: neither holds more than (rows x BLOCK) values per buffer.
+#: operator engine yields its (rows, points) result this many points at a
+#: time, so it holds no more than (rows x BLOCK) values per block.  The
+#: pointwise V_r DP works through its input in blocks of BLOCK * 8 bytes per
+#: row: BLOCK real points, or BLOCK / 2 complex ones.
 BLOCK = 1 << 14
 
 

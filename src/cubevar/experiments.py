@@ -111,26 +111,27 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
     depend on the block width.
 
     When the radii pair up antipodally, radii[i] + radii[m-1-i] = n (the full
-    range; either parity family at even n), only the half cube x < 2^{n-1},
-    the first points of the stream, is reduced: S_{n-k} f(x) = S_k f(x XOR
-    1_n), so the column at x XOR 1_n is the column at x reversed, which has
-    the same V_r, and the sum over the cube is twice the sum over the half.
+    range; either parity family at even n), only the half cube x < 2^{n-1}
+    is asked of the engine and reduced: S_{n-k} f(x) = S_k f(x XOR 1_n), so
+    the column at x XOR 1_n is the column at x reversed, which has the same
+    V_r, and the sum over the cube is twice the sum over the half.
 
     `r` is one order, for one ratio, or a sequence of orders, for a list of
     ratios in the given order; every order is filled from one stream."""
+    radii = list(radii)
+    if not radii:
+        raise ValueError(f"need at least one radius, got radii {radii}")
     norm_f = f.norm(2)
     if norm_f == 0.0:
         raise ValueError("ratio undefined for the zero function")
-    radii = list(radii)
-    blocks = spherical_mean_blocks(f, radii)       # rejects radii outside 0..n
     half = all(a + b == f.n for a, b in zip(radii, reversed(radii)))
-    left = 1 << (f.n - half)                       # points still to reduce
+    points = 1 << (f.n - half)
+    blocks = spherical_mean_blocks(f, radii, points)   # rejects radii outside 0..n
     orders = np.ravel(r)
-    buf = np.empty((orders.size, min(CHUNK, left)))
+    buf = np.empty((orders.size, min(CHUNK, points)))
     sums, fill = [], 0
     for block in blocks:
-        v = vr_pointwise_values(block[:, :left], orders)
-        left -= v.shape[1]
+        v = vr_pointwise_values(block, orders)
         while v.shape[1]:
             take = min(buf.shape[1] - fill, v.shape[1])
             buf[:, fill:fill + take] = v[:, :take]
@@ -138,8 +139,6 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
             if fill == buf.shape[1]:
                 sums.append(np.square(buf, out=buf).sum(axis=1))
                 fill = 0
-        if not left:
-            break
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[0::2], sums[1::2])]
     ratios = [float(np.sqrt(2 * s if half else s)) / norm_f for s in sums[0]]
@@ -260,19 +259,28 @@ def parity_radii(n: int, q: int) -> list:
     return [k for k in range(n + 1) if k % 2 == q]
 
 
+#: Levels whose values lie within this many ulp of the maximum count as tied
+#: for it in `parity_character_scan`: levels tied in exact arithmetic come
+#: out of the DP up to 2 ulp apart (n = 33, r = 1).
+TIE_ULPS = 4
+
+
 def parity_character_scan(n: int, r: float, q: int) -> dict:
     """Max over spectral levels m of V_r of the parity-restricted multiplier
     sequence; this is the character supremum of the fixed-parity operator.
-    Every level's column runs through one `vr_pointwise_values` call."""
+    Every level's column runs through one `vr_pointwise_values` call.  The
+    witness weight is the smallest level tied for the maximum (`TIE_ULPS`),
+    so rounding does not pick among levels tied in exact arithmetic."""
     values = vr_pointwise_values(_kraw_rows(n, parity_radii(n, q)), r).tolist()
-    argmax = int(np.argmax(values))
+    top = max(values)
+    weight = next(w for w, v in enumerate(values) if top - v <= TIE_ULPS * math.ulp(top))
     return {
         "n": n,
         "r": r,
         "q": q,
         "metric": "parity_character_max",
-        "value": float(values[argmax]),
-        "witness": {"weight": argmax, "per_level": values},
+        "value": top,
+        "witness": {"weight": weight, "per_level": values},
     }
 
 

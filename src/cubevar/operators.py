@@ -62,52 +62,69 @@ def spherical_mean_direct(f: CubeFunction, k: int, method: str = "auto") -> Cube
     raise ValueError(f"unknown method {method!r}")
 
 
-def _radial_terms(f: CubeFunction, rows):
-    """The spectrum of f, split the way `rows` are cheapest to apply.
+def _radial_terms(f: CubeFunction, rows, points=None):
+    """The spectrum of f, split the way `rows` are cheapest to apply, on the
+    first `points` points of the cube.
 
     `rows` is a real (m, n+1) matrix of multipliers indexed by Walsh level and
-    f may be on either side.  When f has fewer non-zero levels than there are
-    rows, each non-zero level projection is inverse-transformed once and the
-    result is `coef @ terms`, with coef the (m, levels) columns of the rows;
-    otherwise each row takes one inverse transform, coef is None and terms is
-    the (m, 2^n) result itself, float64 when f.values are.  A
-    single-level f is its own level projection: on the physical side terms
-    is f itself, with no transform back, and on the spectral side its
-    spectrum is transformed in place.  A (levels or rows, 2^n) result that
-    would exceed `PHYSICAL_MEMORY` raises MemoryError before it is allocated.
+    f may be on either side.  `points` is 2^n (the default) or 2^{n-1}, the
+    half cube, onto which every inverse transform is folded: for x < 2^{n-1},
+    (H_{2^n} v)(x) = (H_{2^{n-1}} (v_lo + v_hi))(x), with v_lo and v_hi the
+    halves of v, and the spectral point y + 2^{n-1} has level |y| + 1.  When
+    f has fewer non-zero levels than there are rows, each non-zero level
+    projection is inverse-transformed once and the result is `coef @ terms`,
+    with coef the (m, levels) columns of the rows; otherwise each row takes
+    one inverse transform, coef is None and terms is the (m, points) result
+    itself, float64 when f.values are.  A single-level f is its own level
+    projection: on the physical side terms is a view of f itself, with no
+    transform back, and on the spectral side its spectrum (folded, for the
+    half cube) is transformed in a buffer of its own.  Otherwise a
+    spectral-side f is read where it is, not copied.  A (levels or rows,
+    points) result that would exceed `PHYSICAL_MEMORY` raises MemoryError
+    before it is allocated.
     """
     n = f.n
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != n + 1:
         raise ValueError(f"multiplier matrix of shape {rows.shape} does not match n={n}")
-    spec = f.values.copy()
+    size = 1 << n
+    points = size if points is None else points
+    if points not in (size, size >> 1):
+        raise ValueError(f"{points} points: expected 2^{n} or 2^{n - 1}")
+    fold = points < size
     if f.side == PHYSICAL:
-        fwht(spec)
+        spec = fwht(f.values.copy())
         scale = 2.0 ** -n                # both transforms' 2^{-n/2}, folded in
     else:
+        spec = f.values
         scale = 2.0 ** (-n / 2)
     pc = popcounts(n)
     levels = np.flatnonzero(np.bincount(pc[spec != 0], minlength=n + 1))
+    pc, lo, hi = pc[:points], spec[:points], spec[points:]   # hi is empty unless folded
     if len(levels) == 1 < len(rows):
         if f.side == PHYSICAL:
-            return rows[:, levels], f.values[None]
-        return rows[:, levels] * scale, fwht(spec)[None]
+            return rows[:, levels], f.values[None, :points]
+        return rows[:, levels] * scale, fwht(lo + hi if fold else spec.copy())[None]
     rows = rows * scale
     count = min(len(levels), len(rows))
-    need = count * spec.nbytes
+    need = count * points * spec.itemsize
     if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
-        raise MemoryError(f"{count} x 2^{n} values need {need} bytes, more than the "
+        raise MemoryError(f"{count} x {points} values need {need} bytes, more than the "
                           f"{PHYSICAL_MEMORY} bytes of physical memory")
     if len(levels) < len(rows):
-        proj = np.zeros((len(levels), spec.size), dtype=spec.dtype)
+        proj = np.zeros((len(levels), points), dtype=spec.dtype)
         for p, w in zip(proj, levels):
-            at = pc == w
-            p[at] = spec[at]
+            np.copyto(p, lo, where=pc == w)
+            if fold:
+                np.copyto(p, hi, where=pc == w - 1)
             fwht(p)
         return rows[:, levels], proj
-    out = np.empty((len(rows), spec.size), dtype=spec.dtype)
+    out = np.empty((len(rows), points), dtype=spec.dtype)
+    upper = np.empty_like(hi)
     for o, row in zip(out, rows):
-        np.multiply(spec, np.take(row, pc), out=o)   # take: row[pc] is 2x slower on uint8
+        np.multiply(lo, np.take(row, pc), out=o)   # take: row[pc] is 2x slower on uint8
+        if fold:
+            o += np.multiply(hi, np.take(row[1:], pc), out=upper)
         fwht(o)
     return None, out
 
@@ -122,16 +139,18 @@ def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
     return terms if coef is None else coef @ terms
 
 
-def radial_multiplier_blocks(f: CubeFunction, rows):
-    """`apply_radial_multipliers(f, rows)` as a sequence of column blocks:
-    each holds the rows at the next `core.BLOCK` consecutive points.
+def radial_multiplier_blocks(f: CubeFunction, rows, points=None):
+    """`apply_radial_multipliers(f, rows)[:, :points]` as a sequence of column
+    blocks: each holds the rows at the next `core.BLOCK` consecutive points.
+    `points` is 2^n (the default) or 2^{n-1}, for the half cube x < 2^{n-1},
+    which the engine then works on alone (`_radial_terms`).
 
     When f has fewer non-zero levels than there are rows (every character,
     every spectral-side half-spectrum draw), each block is formed from the
-    level projections as it is asked for, so the (m, 2^n) result is never
+    level projections as it is asked for, so the (m, points) result is never
     held; otherwise the blocks are views of it.
     """
-    coef, terms = _radial_terms(f, rows)
+    coef, terms = _radial_terms(f, rows, points)
     for start in range(0, terms.shape[1], core.BLOCK):
         block = terms[:, start:start + core.BLOCK]
         yield block if coef is None else coef @ block
@@ -151,10 +170,10 @@ def spherical_mean_stack(f: CubeFunction, radii) -> np.ndarray:
     return apply_radial_multipliers(f, _kraw_rows(f.n, radii))
 
 
-def spherical_mean_blocks(f: CubeFunction, radii):
-    """`spherical_mean_stack(f, radii)` streamed as the column blocks of
-    `radial_multiplier_blocks`."""
-    return radial_multiplier_blocks(f, _kraw_rows(f.n, radii))
+def spherical_mean_blocks(f: CubeFunction, radii, points=None):
+    """`spherical_mean_stack(f, radii)` on the first `points` points (2^n or
+    2^{n-1}) streamed as the column blocks of `radial_multiplier_blocks`."""
+    return radial_multiplier_blocks(f, _kraw_rows(f.n, radii), points)
 
 
 def spherical_mean_multiplier(f: CubeFunction, k: int) -> CubeFunction:

@@ -68,10 +68,11 @@ def vr_pointwise_values(stack: np.ndarray, r) -> np.ndarray:
 
     `r` is one order, for one value per point, or a sequence of orders, for
     one row per order in the given order; every order is computed in the same
-    pass over the stack.  The DP runs over column blocks of `core.BLOCK`
-    points in buffers allocated once per call.  Each point's column is scaled
-    by its own power of two first (`_unit_shift`), so the result does not
-    depend on the block width.
+    pass over the stack.  The DP runs over column blocks in buffers
+    allocated once per call, each block `core.BLOCK` * 8 bytes wide per
+    sequence: `core.BLOCK` points of real input, half as many of complex
+    input.  Each point's column is scaled by its own power of two first
+    (`_unit_shift`), so the result does not depend on the block width.
     """
     stack = np.asarray(stack)
     if stack.ndim != 2 or stack.shape[0] == 0:
@@ -79,8 +80,9 @@ def vr_pointwise_values(stack: np.ndarray, r) -> np.ndarray:
     orders = _orders(r)
     distinct = sorted(set(orders), key=lambda x: _PASS.get(x, 0))
     m, size = stack.shape
-    width = max(1, min(size, core.BLOCK))
-    scaled = np.empty((m, width), dtype=np.result_type(stack, np.float64))
+    dtype = np.result_type(stack, np.float64)
+    width = max(1, min(size, core.BLOCK * 8 // dtype.itemsize))
+    scaled = np.empty((m, width), dtype=dtype)
     best = np.empty((sum(x != 1 for x in distinct), m, width))
     jump, square, cand = np.empty((3, width))
     diff = np.empty(width, dtype=scaled.dtype) if np.iscomplexobj(scaled) else jump

@@ -176,6 +176,17 @@ def test_parity_character_scan_matches_oracle(r):
             assert per_level == pytest.approx(expected, rel=rel, abs=0)
 
 
+@pytest.mark.parametrize("n, q", [(9, 0), (33, 0), (33, 1)])
+def test_parity_scan_witness_is_smallest_tied_level(n, q):
+    # levels 1 and 2 tie in exact arithmetic and come out of the DP 1-2 ulp
+    # apart, the larger at level 2
+    rec = parity_character_scan(n, 1.0, q)
+    per_level = rec["witness"]["per_level"]
+    assert rec["witness"]["weight"] == 1
+    assert rec["value"] == max(per_level) >= per_level[1]
+    assert max(per_level) - per_level[1] <= 2 * math.ulp(max(per_level))
+
+
 def test_character_scans_run_one_dp_call(monkeypatch):
     calls = []
 
@@ -450,6 +461,29 @@ def test_half_cube_radii_checked_once_and_first():
     assert variation_norm_ratio(f, iter(range(n + 1)), 2.0) == variation_norm_ratio(f, range(n + 1), 2.0)
     with pytest.raises(ValueError, match="radius -1"):    # -1 + (n + 1) = n
         variation_norm_ratio(f, [-1, n + 1], 2.0)
+
+
+def test_ratio_rejects_empty_radii():
+    f = character(6, 5)
+    for radii in ([], range(0), iter(())):
+        with pytest.raises(ValueError, match="radii"):
+            variation_norm_ratio(f, radii, 2.0)
+
+
+def test_half_cube_ratio_holds_half_the_projections():
+    # the spectral f is read in place and its nine level projections are
+    # folded onto the half cube: the parent copied f and held the 9 x 2^16
+    # projections in full, over one complex (n+1) x 2^n stack in all
+    n = 16
+    f = random_halfspectrum_function(n, np.random.default_rng(21))
+    variation_norm_ratio(f, range(n + 1), [2.0, 3.0])   # fill the table and popcount caches
+    tracemalloc.start()
+    try:
+        variation_norm_ratio(f, range(n + 1), [2.0, 3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n + 1) * (1 << n) * 16
 
 
 def test_pointwise_variation_is_antipodally_symmetric():

@@ -18,7 +18,8 @@ from cubevar import (
     spherical_mean_stack,
 )
 from cubevar.checks import run_check
-from cubevar.experiments import random_halfspectrum_function
+from cubevar.core import SPECTRAL
+from cubevar.experiments import random_halfspectrum_function, variation_norm_ratio
 from spectral_helpers import fourier, inverse_fourier
 
 
@@ -199,6 +200,76 @@ def test_engine_blocks_tile_the_result(monkeypatch):
         blocks = list(operators.radial_multiplier_blocks(f, rows))
         assert [b.shape for b in blocks] == [(n + 1, 7)] * 9 + [(n + 1, 1)]
         assert np.array_equal(np.hstack(blocks), apply_radial_multipliers(f, rows))
+
+
+def _fold_cases(n, rng):
+    """Inputs for every route of the engine, real and complex."""
+    size = 1 << n
+    pc = popcounts(n)
+    top = int(np.flatnonzero(pc == n // 2 + 1)[0])     # a point of level n//2 + 1
+    one_level = np.where(pc == n // 2 + 1, rng.standard_normal(size), 0.0)
+    return [
+        CubeFunction(n, rng.standard_normal(size)),                     # per-row
+        rand_fn(n, rng),
+        CubeFunction(n, character(n, 0).values + character(n, top).values),   # projection
+        random_halfspectrum_function(n, rng),
+        character(n, top),                                              # single level
+        CubeFunction(n, character(n, top).values * (1 - 2j)),
+        CubeFunction(n, one_level, SPECTRAL),
+        CubeFunction(n, one_level * (2 + 1j), SPECTRAL),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 14])
+def test_folded_blocks_match_first_half(n, monkeypatch):
+    # the half-cube engine folds each inverse transform onto 2^{n-1} points.
+    # Each row is 2^{-n/2} H_{2^n} applied to its spectrum, whose norm is
+    # the row's (Parseval), so the FWHT oracle bound of test_core,
+    # 4 eps 2^{n/2} ||x||, becomes 4 eps ||row||
+    monkeypatch.setattr(core, "BLOCK", 7)
+    half = 1 << (n - 1)
+    rows = build_table(n).float
+    routes = set()
+    for f in _fold_cases(n, np.random.default_rng(19 + n)):
+        coef, terms = operators._radial_terms(f, rows, half)
+        route = "per-row" if coef is None else "projection" if len(terms) > 1 else f.side
+        routes.add((route, f.values.dtype.kind))
+        full = apply_radial_multipliers(f, rows)
+        blocks = list(operators.radial_multiplier_blocks(f, rows, half))
+        assert [b.shape for b in blocks[:-1]] == [(n + 1, 7)] * (len(blocks) - 1)
+        folded = np.hstack(blocks)
+        assert folded.shape == (n + 1, half) and folded.dtype == full.dtype
+        tol = 4 * np.finfo(float).eps * np.linalg.norm(full, axis=1, keepdims=True)
+        assert (np.abs(folded - full[:, :half]) <= tol).all(), route
+    if n > 1:      # at n = 1 an input with fewer levels than rows has one level
+        assert len(routes) == 8        # four routes, each real and complex
+
+
+def test_folded_engine_rejects_other_widths():
+    f = character(6, 5)
+    for points in (0, 16, 48, 128):
+        with pytest.raises(ValueError, match=f"{points} points"):
+            list(operators.radial_multiplier_blocks(f, build_table(6).float, points))
+
+
+def test_folded_engine_holds_half_the_projections(monkeypatch):
+    # PHYSICAL_MEMORY between the half-cube and the full estimate: the
+    # antipodal ratio runs, the full stack is refused before it is allocated
+    n = 8
+    rng = np.random.default_rng(20)
+    cases = [
+        (rand_fn(n, rng), n + 1),                                 # per-row route
+        (random_halfspectrum_function(n, rng), n // 2 + 1),       # projection route
+    ]
+    for f, count in cases:
+        need = count * (1 << n) * 16
+        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need // 2)
+        assert variation_norm_ratio(f, range(n + 1), 2.0) > 0
+        with pytest.raises(MemoryError, match=f"{need} bytes, more than the {need // 2} bytes"):
+            spherical_mean_stack(f, range(n + 1))
+        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need // 2 - 1)
+        with pytest.raises(MemoryError, match=f"{need // 2} bytes, more than the"):
+            variation_norm_ratio(f, range(n + 1), 2.0)
 
 
 def test_noise_binomial_weights_sum_to_one():
