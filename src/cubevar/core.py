@@ -37,8 +37,14 @@ def check_dim(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def popcounts(n: int) -> np.ndarray:
-    """Array of |x| for every x in {0, ..., 2^n - 1} (uint8, read-only, cached)."""
-    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
+    """Array of |x| for every x in {0, ..., 2^n - 1} (uint8, read-only, cached).
+
+    Built by doubling, |x + 2^k| = |x| + 1 for x < 2^k, in the output array
+    alone: 2^n bytes, no index array.
+    """
+    pc = np.zeros(1 << n, dtype=np.uint8)
+    for k in range(n):
+        np.add(pc[:1 << k], 1, out=pc[1 << k:2 << k])
     pc.setflags(write=False)
     return pc
 
@@ -68,7 +74,8 @@ class CubeFunction:
         a = np.abs(self.values)
         if p == math.inf:
             return float(a.max())
-        return float((a**p).sum() ** (1.0 / p))
+        a **= p                          # the ufunc of a**p, without a second temporary
+        return float(a.sum() ** (1.0 / p))
 
 
 def character(n: int, y: int) -> CubeFunction:
@@ -79,10 +86,12 @@ def character(n: int, y: int) -> CubeFunction:
     is freed before the output is allocated.
     """
     check_dim(n)
+    if not isinstance(y, (int, np.integer)):
+        raise ValueError(f"character index {y!r} is not an integer")
     if not 0 <= y < (1 << n):
         raise ValueError(f"character index {y} outside cube of dimension {n}")
     x = np.arange(1 << n, dtype=np.uint32)
-    x &= y
+    x &= int(y)
     odd = np.bitwise_count(x)
     del x
     odd &= 1
@@ -133,16 +142,54 @@ def _fwht_factors(n: int, pair: int) -> tuple:
     return tuple(factors)
 
 
+#: Float64 values of `fwht`'s one scratch buffer (512 KB).  A buffer of at
+#: most this many values is transformed by ping-pong between itself and a
+#: scratch array of its size; a larger one is transformed in place, each
+#: factor one slab of at most this many values at a time.  Slabs are slower
+#: where the ping-pong fits (+9% to +135% at n = 14-16, one thread).  The two
+#: give the same bits while every slab is at least 8 columns wide, so this
+#: must be at least 8 * 2^FWHT_FACTOR_BITS = 128: OpenBLAS sums H_16 @ B in
+#: another order when B has 1, 2 or 4 columns.
+FWHT_SCRATCH = 1 << 16
+
+
+def _fwht_slabs(x: np.ndarray, limit: int):
+    """Views of `x` (one factor's shape from `_fwht_factors`) that the factor
+    transforms independently, each of at most `limit` values: rows of the 2-D
+    lowest factor; outer slices of a 3-D factor; or, when one outer slice
+    exceeds `limit`, its column slabs x[a:a+1, :, c:c+cols]."""
+    if x.ndim == 3 and x[0].size > limit:
+        cols = limit // x.shape[1]
+        for a in range(x.shape[0]):
+            for c in range(0, x.shape[2], cols):
+                yield x[a:a + 1, :, c:c + cols]
+        return
+    step = limit // x[0].size
+    for a in range(0, x.shape[0], step):
+        yield x[a:a + step]
+
+
+def _fwht_matmul(h: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
+    """One factor of `_fwht_factors` from `src` into `out`, both of its shape."""
+    if src.ndim == 2:
+        np.matmul(src, h, out=out)
+    else:
+        np.matmul(h, src, out=out)
+
+
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized in-place Walsh-Hadamard transform.
 
     `values` is a contiguous 1-D float64 or complex128 array whose length is
     a power of two; the transform overwrites it and returns it.  Applying it
     twice multiplies the input by 2^n.  H_{2^n} is the Kronecker product of
-    a few ±1 factors H_{2^w} (`_fwht_factors`), and each factor is one real
+    a few ±1 factors H_{2^w} (`_fwht_factors`), and each factor is a real
     matrix product on a float64 view of the buffer, a complex value being
-    its (re, im) pair.  The factors alternate between the buffer and one
-    scratch array of its size.
+    its (re, im) pair.  Up to `FWHT_SCRATCH` float64 values, the factors
+    alternate between the buffer and one scratch array of its size.  Above
+    it, each factor runs one slab at a time (`_fwht_slabs`) into one
+    `FWHT_SCRATCH` array and is copied back, so no second 2^n buffer is
+    held.  Both routes give the same bits.
     """
     if values.ndim != 1 or not values.flags.c_contiguous:
         raise ValueError("fwht needs a contiguous 1-D array")
@@ -152,15 +199,21 @@ def fwht(values: np.ndarray) -> np.ndarray:
     if size < 1 or size & (size - 1):
         raise ValueError(f"fwht length {size} is not a power of two")
     x = values.view(np.float64)
-    src, dst = x, np.empty_like(x)
-    for h, shape in _fwht_factors(size.bit_length() - 1, x.size // size):
-        if len(shape) == 2:
-            np.matmul(src.reshape(shape), h, out=dst.reshape(shape))
-        else:
-            np.matmul(h, src.reshape(shape), out=dst.reshape(shape))
-        src, dst = dst, src
-    if src is not x:
-        x[...] = src
+    factors = _fwht_factors(size.bit_length() - 1, x.size // size)
+    if x.size <= FWHT_SCRATCH:
+        src, dst = x, np.empty_like(x)
+        for h, shape in factors:
+            _fwht_matmul(h, src.reshape(shape), dst.reshape(shape))
+            src, dst = dst, src
+        if src is not x:
+            x[...] = src
+        return values
+    scratch = np.empty(FWHT_SCRATCH)
+    for h, shape in factors:
+        for slab in _fwht_slabs(x.reshape(shape), FWHT_SCRATCH):
+            out = scratch[:slab.size].reshape(slab.shape)
+            _fwht_matmul(h, slab, out)
+            slab[...] = out
     return values
 
 

@@ -119,14 +119,12 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
     `r` is one order, for one ratio, or a sequence of orders, for a list of
     ratios in the given order; every order is filled from one stream."""
     radii = list(radii)
-    if not radii:
-        raise ValueError(f"need at least one radius, got radii {radii}")
     norm_f = f.norm(2)
     if norm_f == 0.0:
         raise ValueError("ratio undefined for the zero function")
     half = all(a + b == f.n for a, b in zip(radii, reversed(radii)))
     points = 1 << (f.n - half)
-    blocks = spherical_mean_blocks(f, radii, points)   # rejects radii outside 0..n
+    blocks = spherical_mean_blocks(f, radii, points)   # raises on no radii or one outside 0..n
     orders = np.ravel(r)
     buf = np.empty((orders.size, min(CHUNK, points)))
     sums, fill = [], 0

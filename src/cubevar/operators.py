@@ -157,8 +157,11 @@ def radial_multiplier_blocks(f: CubeFunction, rows, points=None):
 
 
 def _kraw_rows(n: int, radii) -> np.ndarray:
-    """The multipliers of S_k for k in `radii`: Krawtchouk rows kappa^(n)_k(w)."""
+    """The multipliers of S_k for k in `radii`: Krawtchouk rows kappa^(n)_k(w).
+    Radii outside 0..n, or none at all, raise ValueError."""
     radii = list(radii)
+    if not radii:
+        raise ValueError(f"need at least one radius, got radii {radii}")
     for k in radii:
         if not (isinstance(k, (int, np.integer)) and 0 <= k <= n):
             raise ValueError(f"radius {k!r} outside 0..{n}")

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cubevar import core
 from cubevar import (
     CubeFunction,
     character,
@@ -19,10 +20,41 @@ def rand_fn(n, rng):
     return CubeFunction(n, rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
+def traced_peak(call):
+    """Peak bytes traced by tracemalloc while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_popcounts_matches_length():
     pc = popcounts(6)
     assert pc.dtype == np.uint8
     assert all(pc[x] == x.bit_count() for x in range(64))
+
+
+def test_popcounts_built_in_its_output_alone():
+    for n in range(1, 21):
+        assert np.array_equal(popcounts(n), np.bitwise_count(np.arange(1 << n)))
+    n = 20
+    popcounts.cache_clear()
+    peak = traced_peak(lambda: popcounts(n))
+    assert peak <= (1 << n) + 16384             # the uint8 output; no index array
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_norm_bits_and_one_temporary(complex_):
+    rng = np.random.default_rng(5)
+    v = rand_buffer(9, complex_, rng)
+    for p in (1, 2, 3):
+        assert CubeFunction(9, v).norm(p) == float((np.abs(v) ** p).sum() ** (1.0 / p))
+    assert CubeFunction(9, v).norm(math.inf) == float(np.abs(v).max())
+    n = 18
+    f = CubeFunction(n, rng.standard_normal(1 << n))
+    assert traced_peak(lambda: f.norm(3)) <= 8 * (1 << n) + 16384
 
 
 def test_character_values_exact_and_temporaries_small():
@@ -48,6 +80,17 @@ def test_values_dtype_follows_input():
         assert CubeFunction(2, values).values.dtype == np.float64
     for values in (np.ones(4, dtype=np.complex64), np.ones(4, dtype=np.complex128), [1j, 0, 0, 0]):
         assert CubeFunction(2, values).values.dtype == np.complex128
+
+
+def test_character_index_is_any_integer():
+    for y in (np.int64(3), np.uint8(3), np.uint64(3), 3):
+        assert np.array_equal(character(4, y).values, character(4, 3).values)
+    for y in (2.5, 3.0, np.float64(3), "3", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            character(4, y)
+    for y in (-1, 16, np.int64(16)):
+        with pytest.raises(ValueError, match="outside cube"):
+            character(4, y)
 
 
 def test_character_trivial_and_n1():
@@ -237,15 +280,54 @@ def test_fwht_involution(n):
 @pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize("n", [6, 15, 18])
 def test_fwht_allocates_one_scratch_buffer(n, complex_):
+    # one scratch buffer of the transform's size up to FWHT_SCRATCH float64
+    # values (ping-pong), of FWHT_SCRATCH values above it (slabs in place)
     x = rand_buffer(n, complex_, np.random.default_rng(n))
     fwht(x)                                 # build the cached factors first
-    tracemalloc.start()
-    try:
-        fwht(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert x.nbytes <= peak <= x.nbytes + 16384
+    peak = traced_peak(lambda: fwht(x))
+    scratch = min(x.nbytes, core.FWHT_SCRATCH * 8)
+    assert scratch <= peak <= scratch + 16384
+
+
+def record_slab_kinds(monkeypatch):
+    """Wrap `core._fwht_slabs` to collect which slab shapes it yields: rows
+    of the 2-D lowest factor, outer slices or column slabs of a 3-D one."""
+    kinds = set()
+    slabs = core._fwht_slabs
+
+    def recording(x, limit):
+        for slab in slabs(x, limit):
+            kinds.add("rows" if x.ndim == 2 else
+                      "outer" if slab.shape[2] == x.shape[2] else "cols")
+            yield slab
+
+    monkeypatch.setattr(core, "_fwht_slabs", recording)
+    return kinds
+
+
+# 128 values is the smallest scratch that keeps column slabs 8 wide: OpenBLAS
+# sums H_16 @ B in another order when B has 4 columns or fewer
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("n", range(8, 14))
+def test_fwht_slabs_match_ping_pong(n, complex_, monkeypatch):
+    x = rand_buffer(n, complex_, np.random.default_rng(200 + n))
+    ping_pong = fwht(x.copy())              # 2^n <= FWHT_SCRATCH values
+    monkeypatch.setattr(core, "FWHT_SCRATCH", 128)
+    kinds = record_slab_kinds(monkeypatch)
+    slabs = fwht(x.copy())
+    assert "rows" in kinds                  # the slab route ran
+    assert slabs.tobytes() == ping_pong.tobytes()
+    tol = 4 * np.finfo(float).eps * 2 ** (n / 2) * np.linalg.norm(x)
+    assert np.abs(slabs - butterfly(x.copy())).max() <= tol
+
+
+def test_fwht_slab_shapes_all_taken(monkeypatch):
+    monkeypatch.setattr(core, "FWHT_SCRATCH", 128)
+    kinds = record_slab_kinds(monkeypatch)
+    for n in range(8, 14):
+        for complex_ in (False, True):
+            fwht(rand_buffer(n, complex_, np.random.default_rng(n)))
+    assert kinds == {"rows", "outer", "cols"}
 
 
 def test_fwht_rejects_bad_buffers():

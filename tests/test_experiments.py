@@ -468,6 +468,10 @@ def test_ratio_rejects_empty_radii():
     for radii in ([], range(0), iter(())):
         with pytest.raises(ValueError, match="radii"):
             variation_norm_ratio(f, radii, 2.0)
+        with pytest.raises(ValueError, match=r"got radii \[\]"):
+            character_variation(6, 1, radii, 2.0)
+        with pytest.raises(ValueError, match=r"got radii \[\]"):
+            spherical_mean_stack(f, radii)
 
 
 def test_half_cube_ratio_holds_half_the_projections():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,24 @@ def test_folded_engine_holds_half_the_projections(monkeypatch):
         monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need // 2 - 1)
         with pytest.raises(MemoryError, match=f"{need // 2} bytes, more than the"):
             variation_norm_ratio(f, range(n + 1), 2.0)
+
+
+def test_witness_level_detection_holds_one_copy_of_f():
+    # a single-level physical f on the half cube: its spectrum (8 B/pt), the
+    # popcounts (1 B/pt) and the nonzero mask (1 B/pt), with no 2^n FWHT
+    # scratch or popcount index array beside them
+    n = 18
+    f = character(n, 2**17 - 1)
+    rows = operators._kraw_rows(n, range(n + 1))
+    popcounts.cache_clear()
+    tracemalloc.start()
+    try:
+        coef, terms = operators._radial_terms(f, rows, 1 << (n - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coef.shape == (n + 1, 1) and np.shares_memory(terms, f.values)
+    assert peak <= 10 * (1 << n) + core.FWHT_SCRATCH * 8 + 65536
 
 
 def test_noise_binomial_weights_sum_to_one():
