@@ -99,7 +99,10 @@ def _radial_terms(f: CubeFunction, rows, points=None):
         spec = f.values
         scale = 2.0 ** (-n / 2)
     pc = popcounts(n)
-    levels = np.flatnonzero(np.bincount(pc[spec != 0], minlength=n + 1))
+    if len(rows) > 1:
+        levels = np.flatnonzero(np.bincount(pc[spec != 0], minlength=n + 1))
+    else:        # one row takes the per-row route whatever levels f has: skip finding them
+        levels = range(n + 1)
     pc, lo, hi = pc[:points], spec[:points], spec[points:]   # hi is empty unless folded
     if len(levels) == 1 < len(rows):
         if f.side == PHYSICAL:
@@ -141,19 +144,25 @@ def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
 
 def radial_multiplier_blocks(f: CubeFunction, rows, points=None):
     """`apply_radial_multipliers(f, rows)[:, :points]` as a sequence of column
-    blocks: each holds the rows at the next `core.BLOCK` consecutive points.
-    `points` is 2^n (the default) or 2^{n-1}, for the half cube x < 2^{n-1},
-    which the engine then works on alone (`_radial_terms`).
+    tiles of `core.BLOCK` * 8 bytes per row: each holds the rows at the next
+    `core.BLOCK` consecutive points of a real result, or half as many of a
+    complex one, the width of one block of the pointwise DP.  `points` is 2^n
+    (the default) or 2^{n-1}, for the half cube x < 2^{n-1}, which the engine
+    then works on alone (`_radial_terms`).
 
-    When f has fewer non-zero levels than there are rows (every character,
-    every spectral-side half-spectrum draw), each block is formed from the
-    level projections as it is asked for, so the (m, points) result is never
-    held; otherwise the blocks are views of it.
+    A tile is valid until the next one is drawn, and the consumer may
+    overwrite it: no tile is a view of f.  When f has fewer non-zero levels
+    than there are rows (every character, every spectral-side half-spectrum
+    draw), each tile is formed from the level projections as it is asked for,
+    into one buffer that every tile reuses, so the (m, points) result is
+    never held; otherwise the tiles are views of it.
     """
     coef, terms = _radial_terms(f, rows, points)
-    for start in range(0, terms.shape[1], core.BLOCK):
-        block = terms[:, start:start + core.BLOCK]
-        yield block if coef is None else coef @ block
+    width = min(terms.shape[1], core.BLOCK * 8 // terms.itemsize)
+    tile = None if coef is None else np.empty((len(coef), width), dtype=terms.dtype)
+    for start in range(0, terms.shape[1], width):
+        block = terms[:, start:start + width]
+        yield block if coef is None else np.matmul(coef, block, out=tile[:, :block.shape[1]])
 
 
 def _kraw_rows(n: int, radii) -> np.ndarray:

@@ -8,6 +8,7 @@ character scans and the lemma checks alike.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -68,46 +69,82 @@ def vr_pointwise_values(stack: np.ndarray, r) -> np.ndarray:
 
     `r` is one order, for one value per point, or a sequence of orders, for
     one row per order in the given order; every order is computed in the same
-    pass over the stack.  The DP runs over column blocks in buffers
-    allocated once per call, each block `core.BLOCK` * 8 bytes wide per
-    sequence: `core.BLOCK` points of real input, half as many of complex
-    input.  Each point's column is scaled by its own power of two first
-    (`_unit_shift`), so the result does not depend on the block width.
+    pass over the stack.  The DP (`_vr_stream`) runs over column blocks
+    `core.BLOCK` * 8 bytes wide per sequence: `core.BLOCK` points of real
+    input, half as many of complex input.  Each block is copied into one
+    scratch buffer and the DP works on the copy, so `stack` is never written.
+    Each point's column is scaled by its own power of two first (`_unit_shift`),
+    so the result does not depend on the block width.
     """
     stack = np.asarray(stack)
     if stack.ndim != 2 or stack.shape[0] == 0:
         raise ValueError("expected a nonempty (sequence, points) matrix")
-    orders = _orders(r)
-    distinct = sorted(set(orders), key=lambda x: _PASS.get(x, 0))
+    distinct, rows = _pass_order(r)
     m, size = stack.shape
     dtype = np.result_type(stack, np.float64)
     width = max(1, min(size, core.BLOCK * 8 // dtype.itemsize))
-    scaled = np.empty((m, width), dtype=dtype)
-    best = np.empty((sum(x != 1 for x in distinct), m, width))
-    jump, square, cand = np.empty((3, width))
-    diff = np.empty(width, dtype=scaled.dtype) if np.iscomplexobj(scaled) else jump
+    scratch = np.empty((m, width), dtype=dtype)
+
+    def copies():
+        for start in range(0, size, width):
+            block = scratch[:, :min(width, size - start)]
+            block[...] = stack[:, start:start + width]
+            yield block
+
     out = np.empty((len(distinct), size))
-    for start in range(0, size, width):
-        block = stack[:, start:start + width]
-        w = block.shape[1]
-        _vr_block(block, distinct, scaled[:, :w], diff[:w], best[:, :, :w],
-                  jump[:w], square[:w], cand[:w], out[:, start:start + w])
+    for start, values in zip(range(0, size, width), _vr_stream(copies(), distinct)):
+        out[:, start:start + width] = values
     if np.ndim(r) == 0:
         return out[0]
-    return out[[distinct.index(x) for x in orders]]
+    return out[rows]
 
 
-def _vr_block(block, orders, scaled, diff, best, jump, square, cand, out) -> None:
+def _pass_order(r) -> tuple:
+    """The distinct orders of `r` (`_orders`) in the pass order `_PASS`, and
+    for each order of `r`, its index among them."""
+    orders = _orders(r)
+    distinct = sorted(set(orders), key=lambda x: _PASS.get(x, 0))
+    return distinct, [distinct.index(x) for x in orders]
+
+
+def _vr_stream(blocks, orders):
+    """V_r of every column of a stream of (sequence, points) blocks, at the
+    distinct `orders` in the pass order `_PASS` (`_pass_order`).
+
+    Yields a (len(orders), points) array per block, row k for the k-th
+    order; it is valid until the next block is drawn.  Each block is
+    overwritten: `_vr_block` scales it in place.  The DP tables, scratch rows
+    and yielded values are allocated once, at the shape of the first block,
+    which must be the widest, and serve every block of the stream.
+    """
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        return
+    m, width = first.shape
+    best = np.empty((sum(x != 1 for x in orders), m, width))
+    jump, square, cand = np.empty((3, width))
+    diff = np.empty(width, dtype=first.dtype) if np.iscomplexobj(first) else jump
+    out = np.empty((len(orders), width))
+    for block in itertools.chain([first], blocks):
+        w = block.shape[1]
+        _vr_block(block, orders, diff[:w], best[:, :, :w], jump[:w], square[:w], cand[:w],
+                  out[:, :w])
+        yield out[:, :w]
+
+
+def _vr_block(block, orders, diff, best, jump, square, cand, out) -> None:
     """V_r of each column of `block` into row k of `out`, r the k-th order.
 
-    `orders` are distinct and in the pass order `_PASS`.  The other arguments
-    are scratch buffers of the block's width: `diff` is `jump` itself unless
-    the input is complex, and `best` holds one (sequence, points) DP table
-    per order other than 1.  Each pair's jump |s_i - s_j| is formed once and
-    serves every order; r = 2 and r = 3 share its square.  Each order's term
-    is summed and compared in place: on 2^14 doubles a ufunc that writes a
-    third buffer took twice as long as one that writes an input.  V_1 is the
-    sum of the adjacent jumps: refining a chain never lowers its 1-variation.
+    `block` is scaled in place and left scaled.  `orders` are distinct and in
+    the pass order `_PASS`.  The other arguments are scratch buffers of the
+    block's width: `diff` is `jump` itself unless the input is complex, and
+    `best` holds one (sequence, points) DP table per order other than 1.
+    Each pair's jump |s_i - s_j| is formed once and serves every order;
+    r = 2 and r = 3 share its square.  Each order's term is summed and
+    compared in place: on 2^14 doubles a ufunc that writes a third buffer
+    took twice as long as one that writes an input.  V_1 is the sum of the
+    adjacent jumps: refining a chain never lowers its 1-variation.
     """
     spread = out[0]                      # max_j |a_j - a_0| until the DP starts
     spread.fill(0.0)
@@ -116,8 +153,8 @@ def _vr_block(block, orders, scaled, diff, best, jump, square, cand, out) -> Non
         np.maximum(spread, cand, out=spread)
     shift, recenter = _unit_shift(spread, np.abs(block[0], out=cand))
     if np.any(recenter):
-        block = np.where(recenter, block - block[0], block)
-    np.multiply(block, np.ldexp(1.0, shift), out=scaled)
+        np.subtract(block, block[0], out=block, where=recenter)   # numpy buffers block[0]
+    np.multiply(block, np.ldexp(1.0, shift, out=cand), out=block)
     sums = [k for k, r in enumerate(orders) if r == 1]
     chains = [(k, r) for k, r in enumerate(orders) if r != 1]
     out[sums] = 0.0
@@ -125,7 +162,7 @@ def _vr_block(block, orders, scaled, diff, best, jump, square, cand, out) -> Non
     signed = np.isrealobj(diff) and orders == [2.0]
     cube = 3.0 in orders
     # a complex jump is subtracted as its float64 (re, im) pairs
-    flat, flat_diff = scaled.view(np.float64), diff.view(np.float64)
+    flat, flat_diff = block.view(np.float64), diff.view(np.float64)
     for j in range(1, len(block)):
         for i in range(j) if chains else (j - 1,):
             np.subtract(flat[i], flat[j], out=flat_diff)

@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -439,12 +441,16 @@ def test_dp_sees_half_cube_for_antipodal_radii(n, small, monkeypatch):
         monkeypatch.setattr(core, "BLOCK", 7)
         monkeypatch.setattr(experiments, "CHUNK", 128)
     columns = []
+    stream = experiments._vr_stream
 
-    def counted(stack, r):
-        columns.append(stack.shape[1])
-        return vr_pointwise_values(stack, r)
+    def counted(blocks, orders):
+        def seen():
+            for block in blocks:
+                columns.append(block.shape[1])
+                yield block
+        return stream(seen(), orders)
 
-    monkeypatch.setattr(experiments, "vr_pointwise_values", counted)
+    monkeypatch.setattr(experiments, "_vr_stream", counted)
     f = CubeFunction(n, np.random.default_rng(3).standard_normal(1 << n))
     half, full = 1 << (n - 1), 1 << n
     parity = half if n % 2 == 0 else full           # k + (n - k) keeps the parity of n
@@ -488,6 +494,49 @@ def test_half_cube_ratio_holds_half_the_projections():
     finally:
         tracemalloc.stop()
     assert peak < (n + 1) * (1 << n) * 16
+
+
+def test_concurrent_ratios_keep_their_own_buffers(monkeypatch):
+    # each ratio owns its tile and DP buffers, so ratios run on threads (as
+    # `map_ordered` runs them) give the bits of serial runs; BLOCK = 7 and
+    # a short switch interval interleave the threads between tiles
+    monkeypatch.setattr(core, "BLOCK", 7)
+    n = 9
+    rng = np.random.default_rng(26)
+    inputs = [character(n, 0b011111111), random_halfspectrum_function(n, rng),
+              CubeFunction(n, rng.standard_normal(1 << n)), random_halfspectrum_function(n, rng)] * 2
+    families = (range(n + 1), parity_radii(n, 0))
+    serial = [variation_norm_ratio(f, radii, [1.0, 2.0, 3.0]) for f in inputs for radii in families]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(variation_norm_ratio, f, radii, [1.0, 2.0, 3.0])
+                       for f in inputs for radii in families]
+            assert [fut.result(timeout=60) for fut in futures] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_half_spectrum_ratio_holds_one_tile_and_one_set_of_dp_tables():
+    # n = 16, r = 2 and 3: the nine level projections folded onto the half
+    # cube, one engine tile of BLOCK * 8 bytes a row (17 x 2^13 complex) and
+    # the DP's two (17 x 2^13) float64 tables; the DP scales the tile in
+    # place.  The 1 MiB margin covers the DP's scratch rows and values, the
+    # chunk buffer and `_unit_shift`'s temporaries.  A fresh tile and a
+    # scaled copy per block, or a 2^14-point tile, cross it
+    n = 16
+    f = random_halfspectrum_function(n, np.random.default_rng(21))
+    variation_norm_ratio(f, range(n + 1), [2.0, 3.0])   # fill the table and popcount caches
+    tracemalloc.start()
+    try:
+        variation_norm_ratio(f, range(n + 1), [2.0, 3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    width = core.BLOCK * 8 // 16
+    projections = (n // 2 + 1) * (1 << (n - 1)) * 16
+    assert peak < projections + (n + 1) * width * 16 + 2 * (n + 1) * width * 8 + (1 << 20)
 
 
 def test_pointwise_variation_is_antipodally_symmetric():

@@ -198,8 +198,11 @@ def test_engine_blocks_tile_the_result(monkeypatch):
     n = 6
     rows = build_table(n).float
     for f in (character(n, 0b011011), rand_fn(n, rng)):
-        blocks = list(operators.radial_multiplier_blocks(f, rows))
-        assert [b.shape for b in blocks] == [(n + 1, 7)] * 9 + [(n + 1, 1)]
+        # a tile is valid until the next is drawn: keep a copy of each
+        blocks = [b.copy() for b in operators.radial_multiplier_blocks(f, rows)]
+        width = core.BLOCK * 8 // f.values.itemsize     # 7 or 3 columns
+        full, last = divmod(1 << n, width)
+        assert [b.shape for b in blocks] == [(n + 1, width)] * full + [(n + 1, last)] * (last > 0)
         assert np.array_equal(np.hstack(blocks), apply_radial_multipliers(f, rows))
 
 
@@ -236,14 +239,53 @@ def test_folded_blocks_match_first_half(n, monkeypatch):
         route = "per-row" if coef is None else "projection" if len(terms) > 1 else f.side
         routes.add((route, f.values.dtype.kind))
         full = apply_radial_multipliers(f, rows)
-        blocks = list(operators.radial_multiplier_blocks(f, rows, half))
-        assert [b.shape for b in blocks[:-1]] == [(n + 1, 7)] * (len(blocks) - 1)
+        blocks = [b.copy() for b in operators.radial_multiplier_blocks(f, rows, half)]
+        width = core.BLOCK * 8 // f.values.itemsize     # 7 or 3 columns
+        assert [b.shape for b in blocks[:-1]] == [(n + 1, width)] * (len(blocks) - 1)
         folded = np.hstack(blocks)
         assert folded.shape == (n + 1, half) and folded.dtype == full.dtype
         tol = 4 * np.finfo(float).eps * np.linalg.norm(full, axis=1, keepdims=True)
         assert (np.abs(folded - full[:, :half]) <= tol).all(), route
     if n > 1:      # at n = 1 an input with fewer levels than rows has one level
         assert len(routes) == 8        # four routes, each real and complex
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_ratio_leaves_f_untouched(n, monkeypatch):
+    # the DP overwrites every engine tile, and no tile may be a view of f:
+    # every route of the engine, on the half cube and on the full cube
+    monkeypatch.setattr(core, "BLOCK", 7)
+    for f in _fold_cases(n, np.random.default_rng(23 + n)):
+        before = f.values.copy()
+        for radii in (range(n + 1), [0, 1, n]):
+            assert variation_norm_ratio(f, radii, [1.0, 2.0, 3.0])[0] > 0
+            assert f.values.tobytes() == before.tobytes()
+
+
+def test_one_row_skips_level_detection(monkeypatch):
+    # one row takes one inverse transform whatever levels f has, so the
+    # engine does not look for them; the bits are those of the per-row route
+    # that a second row with f's levels takes, and the zero function still
+    # gives +0.0 everywhere, as the empty level projection did
+    bincount, calls = np.bincount, []
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    n = 9
+    rng = np.random.default_rng(24)
+    rows = np.vstack([build_table(n).float[3], np.exp(-0.4 * np.arange(n + 1))])
+    size = 1 << n
+    for f in (CubeFunction(n, rng.standard_normal(size)), rand_fn(n, rng),
+              CubeFunction(n, rng.standard_normal(size), SPECTRAL),
+              CubeFunction(n, rng.standard_normal(size) + 1j * rng.standard_normal(size), SPECTRAL),
+              CubeFunction(n, np.zeros(size)), CubeFunction(n, np.zeros(size), SPECTRAL)):
+        pair = apply_radial_multipliers(f, rows)
+        assert calls
+        for i, row in enumerate(rows):
+            calls.clear()
+            one = apply_radial_multipliers(f, row[None])
+            assert not calls
+            assert one.tobytes() == pair[i:i + 1].tobytes()
+        if not f.values.any():
+            assert not np.signbit(pair).any()
 
 
 def test_folded_engine_rejects_other_widths():

@@ -196,6 +196,26 @@ def test_vr_pointwise_independent_of_block_width(monkeypatch):
         assert values[1][x] == pytest.approx(vr_exact(s[:, x], 2.0), rel=1e-12)
 
 
+def test_vr_pointwise_leaves_its_input_untouched(monkeypatch):
+    # the DP scales its blocks in place, so it must work on a copy of its
+    # input: a read-only stack is accepted and comes back bit-unchanged, for
+    # real and complex columns and for columns re-centred before scaling
+    rng = np.random.default_rng(25)
+    monkeypatch.setattr(core, "BLOCK", 7)           # several blocks and a partial one
+    points = 40
+    magnitudes = 10.0 ** rng.uniform(-100, 100, size=points)
+    recentred = np.tile(np.array([1e300, 1e300 + 1e-300j, 1e300])[:, None], (1, points))
+    for stack in (rng.standard_normal((6, points)) * magnitudes,
+                  (rng.standard_normal((6, points)) + 1j * rng.standard_normal((6, points))) * magnitudes,
+                  recentred):
+        expected = vr_pointwise_values(stack.copy(), [1.0, 2.0, 3.0, 2.5])
+        before = stack.copy()
+        stack.setflags(write=False)
+        assert np.array_equal(vr_pointwise_values(stack, [1.0, 2.0, 3.0, 2.5]), expected)
+        assert stack.tobytes() == before.tobytes()
+    assert vr_pointwise_values(recentred, 2.0) == pytest.approx(1e-300 * math.sqrt(2.0), rel=1e-15)
+
+
 @pytest.mark.parametrize("r_list", [[2.0, 3.0, 2.5, 4.0], [3.0, 2.0, 2.0, 4.0, 1.0], [4.0, 2.5, 3.0, 2.0, 3.0]])
 def test_vr_pointwise_orders_in_one_pass(r_list):
     # each row of a multi-order call is the single-order call, bit for bit,
