@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import SPECTRAL, CubeFunction, character, popcounts
 from .krawtchouk import build_table
-from .operators import _kraw_rows, spherical_mean_blocks
-from .variation import _pass_order, _vr_stream, vr_pointwise_values
+from .operators import _kraw_rows, _spherical_mean_blocks
+from .variation import vr_pointwise_values
 
 CSV_HEADER = ["experiment", "n", "r", "q", "metric", "value", "witness"]
 
@@ -104,12 +104,12 @@ CHUNK = 1 << 14
 def variation_norm_ratio(f: CubeFunction, radii, r):
     """|| V_r(S_k f : k in radii) ||_2 / ||f||_2 via the full pipeline: each
     engine tile of spherical means goes through the pointwise DP as it is
-    made, in place (`variation._vr_stream`), and the pointwise values are
-    squared and summed a chunk of `CHUNK` points at a time, so neither the
-    (|radii|, 2^n) stack, nor a DP table over every point, nor a 2^n row of
-    pointwise values is held; one tile buffer and one set of DP buffers
-    serve every tile.  The chunk sums are combined pairwise, as numpy sums
-    one row, so the output bits do not depend on the block width.
+    made, which scales the tile in place (`vr_pointwise_values` with
+    `overwrite`), and the pointwise values are squared and summed a chunk of
+    `CHUNK` points at a time, so neither the (|radii|, 2^n) stack, nor a DP
+    table over every point, nor a 2^n row of pointwise values is held; one
+    tile buffer serves every tile.  The chunk sums are combined pairwise, as
+    numpy sums one row, so the output bits do not depend on the block width.
 
     When the radii pair up antipodally, radii[i] + radii[m-1-i] = n (the full
     range; either parity family at even n), only the half cube x < 2^{n-1}
@@ -125,11 +125,12 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
         raise ValueError("ratio undefined for the zero function")
     half = all(a + b == f.n for a, b in zip(radii, reversed(radii)))
     points = 1 << (f.n - half)
-    tiles = spherical_mean_blocks(f, radii, points)   # raises on no radii or one outside 0..n
-    distinct, rows = _pass_order(r)
-    buf = np.empty((len(distinct), min(CHUNK, points)))
+    tiles = _spherical_mean_blocks(f, radii, points)   # raises on no radii or one outside 0..n
+    orders = np.ravel(r)
+    buf = np.empty((orders.size, min(CHUNK, points)))
     sums, fill = [], 0
-    for v in _vr_stream(tiles, distinct):
+    for tile in tiles:
+        v = vr_pointwise_values(tile, orders, overwrite=True)
         while v.shape[1]:
             take = min(buf.shape[1] - fill, v.shape[1])
             buf[:, fill:fill + take] = v[:, :take]
@@ -137,9 +138,10 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
             if fill == buf.shape[1]:
                 sums.append(np.square(buf, out=buf).sum(axis=1))
                 fill = 0
+        del v            # free this tile's values before the next tile's DP runs
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[0::2], sums[1::2])]
-    ratios = [float(np.sqrt(2 * s if half else s)) / norm_f for s in sums[0][rows]]
+    ratios = [float(np.sqrt(2 * s if half else s)) / norm_f for s in sums[0]]
     return ratios if np.ndim(r) else ratios[0]
 
 

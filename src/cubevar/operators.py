@@ -3,7 +3,7 @@
 Every spherical mean S_k and every noise operator N_t is a radial spectral
 multiplier, sum_w m(w) P_w f with P_w the projection onto Walsh level w, so all
 of them run through one engine, `apply_radial_multipliers`, which can also
-stream its result a block of points at a time (`radial_multiplier_blocks`).
+stream its result a block of points at a time (`_radial_multiplier_blocks`).
 The physical-side averages of `spherical_mean_direct` (enumeration or
 convolution) and the binomial-kernel convolution of `noise_binomial` are the
 independent routes it is cross-checked against.
@@ -101,7 +101,7 @@ def _radial_terms(f: CubeFunction, rows, points=None):
     pc = popcounts(n)
     if len(rows) > 1:
         levels = np.flatnonzero(np.bincount(pc[spec != 0], minlength=n + 1))
-    else:        # one row takes the per-row route whatever levels f has: skip finding them
+    else:        # one row takes the per-row route whatever levels f has, as if it had all
         levels = range(n + 1)
     pc, lo, hi = pc[:points], spec[:points], spec[points:]   # hi is empty unless folded
     if len(levels) == 1 < len(rows):
@@ -142,7 +142,7 @@ def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
     return terms if coef is None else coef @ terms
 
 
-def radial_multiplier_blocks(f: CubeFunction, rows, points=None):
+def _radial_multiplier_blocks(f: CubeFunction, rows, points=None):
     """`apply_radial_multipliers(f, rows)[:, :points]` as a sequence of column
     tiles of `core.BLOCK` * 8 bytes per row: each holds the rows at the next
     `core.BLOCK` consecutive points of a real result, or half as many of a
@@ -182,10 +182,10 @@ def spherical_mean_stack(f: CubeFunction, radii) -> np.ndarray:
     return apply_radial_multipliers(f, _kraw_rows(f.n, radii))
 
 
-def spherical_mean_blocks(f: CubeFunction, radii, points=None):
+def _spherical_mean_blocks(f: CubeFunction, radii, points=None):
     """`spherical_mean_stack(f, radii)` on the first `points` points (2^n or
-    2^{n-1}) streamed as the column blocks of `radial_multiplier_blocks`."""
-    return radial_multiplier_blocks(f, _kraw_rows(f.n, radii), points)
+    2^{n-1}) streamed as the column blocks of `_radial_multiplier_blocks`."""
+    return _radial_multiplier_blocks(f, _kraw_rows(f.n, radii), points)
 
 
 def spherical_mean_multiplier(f: CubeFunction, k: int) -> CubeFunction:

@@ -8,7 +8,6 @@ character scans and the lemma checks alike.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -64,73 +63,47 @@ def _orders(r) -> list:
 _PASS = {3.0: 1, 2.0: 2}
 
 
-def vr_pointwise_values(stack: np.ndarray, r) -> np.ndarray:
+def vr_pointwise_values(stack: np.ndarray, r, *, overwrite: bool = False) -> np.ndarray:
     """Vectorized r-variation across axis 0 of a (sequence, points) matrix.
 
     `r` is one order, for one value per point, or a sequence of orders, for
     one row per order in the given order; every order is computed in the same
-    pass over the stack.  The DP (`_vr_stream`) runs over column blocks
-    `core.BLOCK` * 8 bytes wide per sequence: `core.BLOCK` points of real
-    input, half as many of complex input.  Each block is copied into one
-    scratch buffer and the DP works on the copy, so `stack` is never written.
-    Each point's column is scaled by its own power of two first (`_unit_shift`),
-    so the result does not depend on the block width.
+    pass over the stack.  The DP (`_vr_block`) runs over column blocks
+    `core.BLOCK` * 8 bytes wide per sequence, `core.BLOCK` points of real
+    input, half as many of complex input, with its tables allocated once per
+    call.  It scales each block in place, in one scratch buffer that each
+    block is copied into, so `stack` is never written; with `overwrite`, a
+    float64 or complex128 `stack` whose rows are contiguous is scaled where
+    it is instead, and its values are lost.  Each point's column is scaled
+    by its own power of two (`_unit_shift`), so the result does not depend
+    on the block width.
     """
     stack = np.asarray(stack)
     if stack.ndim != 2 or stack.shape[0] == 0:
         raise ValueError("expected a nonempty (sequence, points) matrix")
-    distinct, rows = _pass_order(r)
+    orders = _orders(r)
+    distinct = sorted(set(orders), key=lambda x: _PASS.get(x, 0))
     m, size = stack.shape
     dtype = np.result_type(stack, np.float64)
     width = max(1, min(size, core.BLOCK * 8 // dtype.itemsize))
-    scratch = np.empty((m, width), dtype=dtype)
-
-    def copies():
-        for start in range(0, size, width):
-            block = scratch[:, :min(width, size - start)]
-            block[...] = stack[:, start:start + width]
-            yield block
-
+    in_place = (overwrite and stack.dtype == dtype and stack.flags.writeable
+                and stack.strides[1] == dtype.itemsize)
+    scratch = None if in_place else np.empty((m, width), dtype=dtype)
+    best = np.empty((sum(x != 1 for x in distinct), m, width))
+    jump, square, cand = np.empty((3, width))
+    diff = np.empty(width, dtype=dtype) if dtype.kind == "c" else jump
     out = np.empty((len(distinct), size))
-    for start, values in zip(range(0, size, width), _vr_stream(copies(), distinct)):
-        out[:, start:start + width] = values
+    for start in range(0, size, width):
+        block = stack[:, start:start + width]
+        w = block.shape[1]
+        if scratch is not None:
+            block = scratch[:, :w]
+            block[...] = stack[:, start:start + w]
+        _vr_block(block, distinct, diff[:w], best[:, :, :w], jump[:w], square[:w], cand[:w],
+                  out[:, start:start + w])
     if np.ndim(r) == 0:
         return out[0]
-    return out[rows]
-
-
-def _pass_order(r) -> tuple:
-    """The distinct orders of `r` (`_orders`) in the pass order `_PASS`, and
-    for each order of `r`, its index among them."""
-    orders = _orders(r)
-    distinct = sorted(set(orders), key=lambda x: _PASS.get(x, 0))
-    return distinct, [distinct.index(x) for x in orders]
-
-
-def _vr_stream(blocks, orders):
-    """V_r of every column of a stream of (sequence, points) blocks, at the
-    distinct `orders` in the pass order `_PASS` (`_pass_order`).
-
-    Yields a (len(orders), points) array per block, row k for the k-th
-    order; it is valid until the next block is drawn.  Each block is
-    overwritten: `_vr_block` scales it in place.  The DP tables, scratch rows
-    and yielded values are allocated once, at the shape of the first block,
-    which must be the widest, and serve every block of the stream.
-    """
-    blocks = iter(blocks)
-    first = next(blocks, None)
-    if first is None:
-        return
-    m, width = first.shape
-    best = np.empty((sum(x != 1 for x in orders), m, width))
-    jump, square, cand = np.empty((3, width))
-    diff = np.empty(width, dtype=first.dtype) if np.iscomplexobj(first) else jump
-    out = np.empty((len(orders), width))
-    for block in itertools.chain([first], blocks):
-        w = block.shape[1]
-        _vr_block(block, orders, diff[:w], best[:, :, :w], jump[:w], square[:w], cand[:w],
-                  out[:, :w])
-        yield out[:, :w]
+    return out[[distinct.index(x) for x in orders]]
 
 
 def _vr_block(block, orders, diff, best, jump, square, cand, out) -> None:

@@ -441,16 +441,12 @@ def test_dp_sees_half_cube_for_antipodal_radii(n, small, monkeypatch):
         monkeypatch.setattr(core, "BLOCK", 7)
         monkeypatch.setattr(experiments, "CHUNK", 128)
     columns = []
-    stream = experiments._vr_stream
 
-    def counted(blocks, orders):
-        def seen():
-            for block in blocks:
-                columns.append(block.shape[1])
-                yield block
-        return stream(seen(), orders)
+    def counted(stack, r, **options):
+        columns.append(stack.shape[1])
+        return vr_pointwise_values(stack, r, **options)
 
-    monkeypatch.setattr(experiments, "_vr_stream", counted)
+    monkeypatch.setattr(experiments, "vr_pointwise_values", counted)
     f = CubeFunction(n, np.random.default_rng(3).standard_normal(1 << n))
     half, full = 1 << (n - 1), 1 << n
     parity = half if n % 2 == 0 else full           # k + (n - k) keeps the parity of n
@@ -497,7 +493,7 @@ def test_half_cube_ratio_holds_half_the_projections():
 
 
 def test_concurrent_ratios_keep_their_own_buffers(monkeypatch):
-    # each ratio owns its tile and DP buffers, so ratios run on threads (as
+    # each ratio owns its tile buffer and each DP call its own tables, so ratios run on threads (as
     # `map_ordered` runs them) give the bits of serial runs; BLOCK = 7 and
     # a short switch interval interleave the threads between tiles
     monkeypatch.setattr(core, "BLOCK", 7)

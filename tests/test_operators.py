@@ -199,7 +199,7 @@ def test_engine_blocks_tile_the_result(monkeypatch):
     rows = build_table(n).float
     for f in (character(n, 0b011011), rand_fn(n, rng)):
         # a tile is valid until the next is drawn: keep a copy of each
-        blocks = [b.copy() for b in operators.radial_multiplier_blocks(f, rows)]
+        blocks = [b.copy() for b in operators._radial_multiplier_blocks(f, rows)]
         width = core.BLOCK * 8 // f.values.itemsize     # 7 or 3 columns
         full, last = divmod(1 << n, width)
         assert [b.shape for b in blocks] == [(n + 1, width)] * full + [(n + 1, last)] * (last > 0)
@@ -239,7 +239,7 @@ def test_folded_blocks_match_first_half(n, monkeypatch):
         route = "per-row" if coef is None else "projection" if len(terms) > 1 else f.side
         routes.add((route, f.values.dtype.kind))
         full = apply_radial_multipliers(f, rows)
-        blocks = [b.copy() for b in operators.radial_multiplier_blocks(f, rows, half)]
+        blocks = [b.copy() for b in operators._radial_multiplier_blocks(f, rows, half)]
         width = core.BLOCK * 8 // f.values.itemsize     # 7 or 3 columns
         assert [b.shape for b in blocks[:-1]] == [(n + 1, width)] * (len(blocks) - 1)
         folded = np.hstack(blocks)
@@ -292,7 +292,7 @@ def test_folded_engine_rejects_other_widths():
     f = character(6, 5)
     for points in (0, 16, 48, 128):
         with pytest.raises(ValueError, match=f"{points} points"):
-            list(operators.radial_multiplier_blocks(f, build_table(6).float, points))
+            list(operators._radial_multiplier_blocks(f, build_table(6).float, points))
 
 
 def test_folded_engine_holds_half_the_projections(monkeypatch):

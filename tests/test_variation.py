@@ -216,6 +216,33 @@ def test_vr_pointwise_leaves_its_input_untouched(monkeypatch):
     assert vr_pointwise_values(recentred, 2.0) == pytest.approx(1e-300 * math.sqrt(2.0), rel=1e-15)
 
 
+def test_vr_pointwise_overwrite_gives_the_same_bits(monkeypatch):
+    # with `overwrite` the DP scales a float64 or complex128 stack with
+    # contiguous rows where it is, and returns the bits of the copying call;
+    # any other stack is copied as without it and comes back unchanged
+    rng = np.random.default_rng(27)
+    monkeypatch.setattr(core, "BLOCK", 7)           # several blocks and a partial one
+    points = 40
+    magnitudes = 10.0 ** rng.uniform(-100, 100, size=points)
+    orders = [1.0, 2.0, 3.0, 2.5]
+    real = rng.standard_normal((6, points)) * magnitudes
+    complex_ = (rng.standard_normal((6, points)) + 1j * rng.standard_normal((6, points))) * magnitudes
+    recentred = np.tile(np.array([1e300, 1e300 + 1e-300j, 1e300])[:, None], (1, points))
+    for stack in (real.copy(), complex_.copy(), recentred, complex_.copy()[:, 3:35]):
+        expected = vr_pointwise_values(stack, orders)
+        before = stack.copy()
+        assert np.array_equal(vr_pointwise_values(stack, orders, overwrite=True), expected)
+        assert stack.tobytes() != before.tobytes()
+    read_only = real.copy()
+    read_only.setflags(write=False)
+    for stack in (read_only, rng.standard_normal((6, points)).astype(np.float32), np.asfortranarray(real),
+                  complex_[:, ::2], np.arange(6 * points).reshape(6, points)):
+        expected = vr_pointwise_values(stack, orders)
+        before = stack.copy()
+        assert np.array_equal(vr_pointwise_values(stack, orders, overwrite=True), expected)
+        assert stack.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("r_list", [[2.0, 3.0, 2.5, 4.0], [3.0, 2.0, 2.0, 4.0, 1.0], [4.0, 2.5, 3.0, 2.0, 3.0]])
 def test_vr_pointwise_orders_in_one_pass(r_list):
     # each row of a multi-order call is the single-order call, bit for bit,
