@@ -8,19 +8,13 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import statistics
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
-import numpy as np
-
 from .checks import CHECKS, run_check
-from .core import CubeFunction, check_dim, fwht
+from .core import check_dim
 from .krawtchouk import bound_scan_a, bound_scan_b_c, build_table, estimate_exp_constant
-from .operators import spherical_mean_stack
-from .variation import vr_pointwise_values
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -31,7 +25,6 @@ from .experiments import (
     phi_scan,
     proposition_halfspectrum_scan,
     psi_scan,
-    variation_norm_ratio,
 )
 
 
@@ -226,57 +219,6 @@ def cmd_half_spectrum(args) -> int:
     return 0
 
 
-#: Seconds of FWHTs `bench` runs before its first timing.  On a 2-vCPU VM,
-#: OpenBLAS ran about 10x slow for the first second of some processes, a
-#: phase that one warm-up call and three repeats of a 2^20 FWHT still fell in.
-WARMUP_S = 1.0
-
-
-def _warm_up() -> None:
-    """Run normalized complex FWHTs of 2^16 points for WARMUP_S seconds."""
-    buf = np.ones(1 << 16, dtype=np.complex128)
-    stop = time.perf_counter() + WARMUP_S
-    while time.perf_counter() < stop:
-        fwht(buf)
-        buf *= 2.0 ** -8
-
-
-def _timed(fn, repeats: int = 3):
-    """Median seconds of `repeats` calls of fn after one warm-up call, and
-    the last call's result."""
-    fn()
-    times = []
-    for _ in range(repeats):
-        result = None                    # free the last result before the next call
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), result
-
-
-def cmd_bench(args) -> int:
-    cfg = _cube_config(args)
-    report = ExperimentReport("bench", asdict(cfg))
-    rng = np.random.default_rng(cfg.seed)
-    _warm_up()
-    for n in cfg.n_list:
-        size = 1 << n
-        buf = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        t_fwht, _ = _timed(lambda: fwht(buf))
-        report.add({"n": n, "metric": "fwht_seconds", "value": t_fwht,
-                    "witness": {"throughput_elems_per_s": size / t_fwht}})
-        f = CubeFunction(n, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-        t_sweep, stack = _timed(lambda: spherical_mean_stack(f, range(n + 1)))
-        report.add({"n": n, "metric": "spherical_sweep_seconds", "value": t_sweep})
-        t_vr, _ = _timed(lambda: vr_pointwise_values(stack, 2.0))
-        report.add({"n": n, "r": 2.0, "metric": "vr_pointwise_seconds", "value": t_vr})
-        del stack
-        t_ratio, _ = _timed(lambda: variation_norm_ratio(f, range(n + 1), 2.0))
-        report.add({"n": n, "r": 2.0, "metric": "variation_ratio_seconds", "value": t_ratio})
-    _emit(report, args.out, args.format)
-    return 0
-
-
 COMMANDS = {
     "verify": cmd_verify,
     "kraw-table": cmd_kraw_table,
@@ -284,7 +226,6 @@ COMMANDS = {
     "parity-scan": cmd_parity_scan,
     "phi-psi": cmd_phi_psi,
     "half-spectrum": cmd_half_spectrum,
-    "bench": cmd_bench,
 }
 
 
@@ -298,7 +239,6 @@ COMMAND_FLAGS = {
     "parity-scan": ("r", "q"),
     "phi-psi": (),
     "half-spectrum": ("r", "seed", "trials"),
-    "bench": ("seed",),
 }
 FLAG_ARGS = {
     "r": {"help": "variation order or comma list"},

@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import SPECTRAL, CubeFunction, character, popcounts
 from .krawtchouk import build_table
-from .operators import _kraw_rows, _spherical_mean_blocks
-from .variation import vr_pointwise_values
+from .operators import _kraw_rows, _radial_multiplier_blocks
+from .variation import _check_order, vr_pointwise_values
 
 CSV_HEADER = ["experiment", "n", "r", "q", "metric", "value", "witness"]
 
@@ -34,8 +34,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if any(n < 1 for n in self.n_list):
             raise ValueError("all dimensions must be >= 1")
-        if not all(math.isfinite(r) and r >= 1 for r in self.r_list):
-            raise ValueError("all variation orders must be finite and >= 1")
+        for r in self.r_list:
+            _check_order(r)
         if self.q is not None and self.q not in (0, 1):
             raise ValueError("parity must be 0 or 1")
         if not 0.0 < self.alpha < 1.0:
@@ -125,7 +125,8 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
         raise ValueError("ratio undefined for the zero function")
     half = all(a + b == f.n for a, b in zip(radii, reversed(radii)))
     points = 1 << (f.n - half)
-    tiles = _spherical_mean_blocks(f, radii, points)   # raises on no radii or one outside 0..n
+    # _kraw_rows raises on no radii or one outside 0..n
+    tiles = _radial_multiplier_blocks(f, _kraw_rows(f.n, radii), points)
     orders = np.ravel(r)
     buf = np.empty((orders.size, min(CHUNK, points)))
     sums, fill = [], 0
@@ -157,23 +158,31 @@ def character_variation(n: int, weight: int, radii, r):
     return values[:, 0].tolist() if np.ndim(r) else float(values[0])
 
 
+def _ratio_records(n: int, r_list, ratios, metric: str, bound, slack: float, witness: dict) -> list:
+    """One record per order r in r_list, with its ratio: the witness holds
+    the keys of `witness`, then the proven lower bound `bound(r)` and whether
+    the ratio reaches it to within `slack`."""
+    records = []
+    for r, ratio in zip(r_list, ratios):
+        lower = bound(r)
+        record = {**witness, "lower_bound": lower, "satisfied": bool(ratio >= lower - slack)}
+        records.append({"n": n, "r": r, "q": None, "metric": metric, "value": ratio, "witness": record})
+    return records
+
+
+def _truncated_bound(n: int, a_n: float):
+    """The proven lower bound (2/3) floor(n / (3 a_n))^{1/r}, as a function of r."""
+    base = math.floor(n / (3.0 * a_n))
+    return lambda r: (2.0 / 3.0) * base ** (1.0 / r)
+
+
 def counterexample_all_ones(n: int, r_list) -> list:
     """Full-range variation ratio for the all-ones character, one record per
     order in r_list; the proven lower bound is 2 n^{1/r}, attained with
     equality."""
-    f = character(n, (1 << n) - 1)
-    records = []
-    for r, ratio in zip(r_list, variation_norm_ratio(f, range(n + 1), r_list)):
-        bound = 2.0 * n ** (1.0 / r)
-        records.append({
-            "n": n,
-            "r": r,
-            "q": None,
-            "metric": "all_ones_ratio",
-            "value": ratio,
-            "witness": {"weight": n, "lower_bound": bound, "satisfied": bool(ratio >= bound - 1e-9)},
-        })
-    return records
+    ratios = variation_norm_ratio(character(n, (1 << n) - 1), range(n + 1), r_list)
+    return _ratio_records(n, r_list, ratios, "all_ones_ratio", lambda r: 2.0 * n ** (1.0 / r),
+                          1e-9, {"weight": n})
 
 
 def counterexample_truncated(n: int, r_list, a_n: float) -> list:
@@ -185,25 +194,9 @@ def counterexample_truncated(n: int, r_list, a_n: float) -> list:
     if a_n < 1.0:
         raise ValueError(f"no admissible weight below n for a_n={a_n}")
     weight = n - 1
-    y = (1 << weight) - 1
-    f = character(n, y)
-    records = []
-    for r, ratio in zip(r_list, variation_norm_ratio(f, range(n + 1), r_list)):
-        bound = (2.0 / 3.0) * math.floor(n / (3.0 * a_n)) ** (1.0 / r)
-        records.append({
-            "n": n,
-            "r": r,
-            "q": None,
-            "metric": "truncated_ratio",
-            "value": ratio,
-            "witness": {
-                "weight": weight,
-                "a_n": a_n,
-                "lower_bound": bound,
-                "satisfied": bool(ratio >= bound - 1e-12),
-            },
-        })
-    return records
+    ratios = variation_norm_ratio(character(n, (1 << weight) - 1), range(n + 1), r_list)
+    return _ratio_records(n, r_list, ratios, "truncated_ratio", _truncated_bound(n, a_n),
+                          1e-12, {"weight": weight, "a_n": a_n})
 
 
 def counterexample_corollary(n: int, r_list, alpha: float) -> list:
@@ -232,25 +225,9 @@ def counterexample_corollary(n: int, r_list, alpha: float) -> list:
             }
             for r in r_list
         ]
-    records = []
-    for r, ratio in zip(r_list, character_variation(n, weight, range(n + 1), r_list)):
-        bound = (2.0 / 3.0) * math.floor(n / (3.0 * a_n)) ** (1.0 / r)
-        records.append({
-            "n": n,
-            "r": r,
-            "q": None,
-            "metric": "corollary_ratio",
-            "value": ratio,
-            "witness": {
-                "weight": weight,
-                "b_n": b_n,
-                "d_n": d_n,
-                "a_n": a_n,
-                "lower_bound": bound,
-                "satisfied": bool(ratio >= bound - 1e-12),
-            },
-        })
-    return records
+    ratios = character_variation(n, weight, range(n + 1), r_list)
+    return _ratio_records(n, r_list, ratios, "corollary_ratio", _truncated_bound(n, a_n), 1e-12,
+                          {"weight": weight, "b_n": b_n, "d_n": d_n, "a_n": a_n})
 
 
 def parity_radii(n: int, q: int) -> list:

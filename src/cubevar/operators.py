@@ -182,12 +182,6 @@ def spherical_mean_stack(f: CubeFunction, radii) -> np.ndarray:
     return apply_radial_multipliers(f, _kraw_rows(f.n, radii))
 
 
-def _spherical_mean_blocks(f: CubeFunction, radii, points=None):
-    """`spherical_mean_stack(f, radii)` on the first `points` points (2^n or
-    2^{n-1}) streamed as the column blocks of `_radial_multiplier_blocks`."""
-    return _radial_multiplier_blocks(f, _kraw_rows(f.n, radii), points)
-
-
 def spherical_mean_multiplier(f: CubeFunction, k: int) -> CubeFunction:
     """S_k f via the spectral multiplier kappa^(n)_k(|y|)."""
     return CubeFunction(f.n, spherical_mean_stack(f, [k])[0])

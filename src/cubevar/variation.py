@@ -15,9 +15,17 @@ import numpy as np
 from . import core
 
 
+#: The largest variation order r accepted.  `_unit_shift` scales each column
+#: so that its largest |jump| lies in [1/4, 1), so the largest |jump|^r can
+#: be as small as 4^-r, which is a normal double, at least 2^-1022, only for
+#: r <= 511.  Above that it is subnormal and loses bits, and above about 537
+#: it is flushed to 0, so V_r would read 0.
+MAX_ORDER = 511
+
+
 def _check_order(r: float) -> None:
-    if not (math.isfinite(r) and r >= 1):
-        raise ValueError(f"variation order r must be finite and >= 1, got {r}")
+    if not (math.isfinite(r) and 1 <= r <= MAX_ORDER):
+        raise ValueError(f"variation order r must be finite and in [1, {MAX_ORDER}], got {r}")
 
 
 def _unit_shift(spread, first):

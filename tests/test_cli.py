@@ -52,6 +52,11 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    # there is no timing command: perfbench times the other commands
+    assert len(cli.COMMANDS) == 6
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "4"])
+    assert exc.value.code == 2
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):
@@ -123,11 +128,6 @@ def test_parity_scan_and_phi_psi(tmp_path, capsys):
                  "--seed", "1", "--out", str(tmp_path), "--format", "json"]) == 0
 
 
-def test_bench_small(tmp_path, capsys):
-    assert main(["bench", "--n", "1", "--out", str(tmp_path), "--format", "json"]) == 0
-    assert main(["bench", "--n", "10", "--out", str(tmp_path), "--format", "json"]) == 0
-
-
 def test_csv_determinism(tmp_path):
     for sub in ("a", "b"):
         main(["counterexample", "--kind", "truncated", "--n", "8,10", "--r", "1,2",
@@ -138,7 +138,9 @@ def test_csv_determinism(tmp_path):
         assert a == b
 
 
-@pytest.mark.parametrize("command,r", [("counterexample", "nan"), ("parity-scan", "1e400")])
+# r = 1000 is finite, but above variation.MAX_ORDER its |jump|^r flushes to 0
+@pytest.mark.parametrize("command,r", [("counterexample", "nan"), ("parity-scan", "1e400"),
+                                       ("counterexample", "1000")])
 def test_non_finite_r_exits_2(tmp_path, capsys, command, r):
     code = main([command, "--n", "6", "--r", r, "--out", str(tmp_path)])
     assert code == 2
@@ -172,7 +174,7 @@ def test_env_threads_fallback(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["verify", "kraw-table", "parity-scan", "phi-psi",
-                                     "half-spectrum", "bench"])
+                                     "half-spectrum"])
 def test_threads_only_where_read(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--n", "6", "--threads", "3", "--out", str(tmp_path)])
@@ -182,7 +184,7 @@ def test_threads_only_where_read(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("argv", [["phi-psi", "--r", "3"], ["phi-psi", "--q", "1"],
                                   ["phi-psi", "--trials", "5"], ["kraw-table", "--seed", "4"],
-                                  ["verify", "--r", "2"], ["bench", "--trials", "3"],
+                                  ["verify", "--r", "2"],
                                   ["counterexample", "--trials", "3"], ["half-spectrum", "--q", "0"]])
 def test_config_flags_only_where_read(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:

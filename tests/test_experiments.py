@@ -145,6 +145,24 @@ def test_corollary_truncation_scan():
     assert bounds[-1] > 0.0
 
 
+@pytest.mark.parametrize("records,metric,witness_keys", [
+    (lambda: counterexample_all_ones(6, [1.0, 2.0]), "all_ones_ratio",
+     ["weight", "lower_bound", "satisfied"]),
+    (lambda: counterexample_truncated(6, [1.0, 2.0], 2.0), "truncated_ratio",
+     ["weight", "a_n", "lower_bound", "satisfied"]),
+    (lambda: counterexample_corollary(64, [1.0, 2.0], 0.25), "corollary_ratio",
+     ["weight", "b_n", "d_n", "a_n", "lower_bound", "satisfied"]),
+    (lambda: counterexample_corollary(2, [1.0, 2.0], 0.5), "corollary_skipped",
+     ["weight", "reason"]),
+])
+def test_counterexample_record_keys_in_order(records, metric, witness_keys):
+    # the JSON and CSV reports print the keys in this order
+    for rec, r in zip(records(), [1.0, 2.0], strict=True):
+        assert list(rec) == ["n", "r", "q", "metric", "value", "witness"]
+        assert rec["r"] == r and rec["metric"] == metric
+        assert list(rec["witness"]) == witness_keys
+
+
 def test_parity_radii():
     assert parity_radii(6, 0) == [0, 2, 4, 6]
     assert parity_radii(6, 1) == [1, 3, 5]

@@ -13,6 +13,7 @@ from cubevar import (
     character,
     check_chain_lemma,
     check_variation_properties,
+    counterexample_all_ones,
     dyadic_floor,
     dyadic_partition,
     spherical_mean_multiplier,
@@ -159,9 +160,22 @@ def test_vr_pointwise_on_all_ones_character():
 
 
 def test_vr_pointwise_errors():
-    for r in (0.5, math.inf, math.nan):
+    for r in (0.5, math.inf, math.nan, variation.MAX_ORDER + 1):
         with pytest.raises(ValueError):
             vr_pointwise_values(np.zeros((2, 4)), r)
+
+
+def test_vr_pointwise_at_the_largest_order():
+    # the jumps of +-1 are scaled to 1/4, so each |jump|^r is 2^-1022, the
+    # smallest normal double, at r = MAX_ORDER; from r = 538 they flush to 0
+    r = variation.MAX_ORDER
+    assert r == 511
+    with pytest.raises(ValueError, match="finite"):
+        vr_pointwise_values(np.array([[1.0], [-1.0], [1.0], [-1.0]]), r + 1)
+    for n in range(4, 9):
+        [rec] = counterexample_all_ones(n, [r])
+        assert rec["value"] == pytest.approx(2 * n ** (1 / r), rel=1e-12, abs=0)
+        assert rec["witness"]["satisfied"]
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-120])
