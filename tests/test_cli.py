@@ -184,7 +184,7 @@ def test_threads_only_where_read(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("argv", [["phi-psi", "--r", "3"], ["phi-psi", "--q", "1"],
                                   ["phi-psi", "--trials", "5"], ["kraw-table", "--seed", "4"],
-                                  ["verify", "--r", "2"],
+                                  ["verify", "--r", "2"], ["parity-scan", "--trials", "3"],
                                   ["counterexample", "--trials", "3"], ["half-spectrum", "--q", "0"]])
 def test_config_flags_only_where_read(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
