@@ -9,7 +9,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from .checks import CHECKS, run_check
@@ -73,31 +72,6 @@ def _cube_config(args) -> ExperimentConfig:
     for n in cfg.n_list:
         check_dim(n)
     return cfg
-
-
-def _threads(args) -> int:
-    """--threads, else the CUBEVAR_THREADS environment variable, else the CPU
-    count; a count below 1 is an error."""
-    if args.threads is not None:
-        threads, source = args.threads, "--threads"
-    else:
-        text = os.environ.get("CUBEVAR_THREADS", str(os.cpu_count() or 1))
-        try:
-            threads, source = int(text), "CUBEVAR_THREADS"
-        except ValueError:
-            raise ValueError(f"CUBEVAR_THREADS must be an integer, got {text!r}") from None
-    if threads < 1:
-        raise ValueError(f"{source} must be at least 1, got {threads}")
-    return threads
-
-
-def map_ordered(fn, items, threads: int):
-    """Apply fn over items, optionally on a thread pool; results keep the
-    input order so reports stay deterministic."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _emit(report: ExperimentReport, out_dir, fmt: str) -> None:
@@ -172,18 +146,14 @@ def cmd_kraw_table(args) -> int:
 def cmd_counterexample(args) -> int:
     # The corollary witness is read off the multiplier sequence alone.
     cfg = _merge_config(args) if args.kind == "corollary" else _cube_config(args)
-    threads = _threads(args)
     report = ExperimentReport(f"counterexample-{args.kind}", asdict(cfg))
-
-    def one(n):
+    for n in cfg.n_list:
         if args.kind == "all-ones":
-            return counterexample_all_ones(n, cfg.r_list)
-        if args.kind == "corollary":
-            return counterexample_corollary(n, cfg.r_list, cfg.alpha)
-        return counterexample_truncated(n, cfg.r_list, math.sqrt(n))
-
-    for records in map_ordered(one, cfg.n_list, threads):
-        report.extend(records)
+            report.extend(counterexample_all_ones(n, cfg.r_list))
+        elif args.kind == "corollary":
+            report.extend(counterexample_corollary(n, cfg.r_list, cfg.alpha))
+        else:
+            report.extend(counterexample_truncated(n, cfg.r_list, math.sqrt(n)))
     _emit(report, args.out, args.format)
     # A corollary_skipped record (no witness at this n) has no verdict.
     violated = any(not rec["witness"].get("satisfied", True) for rec in report.records)
@@ -231,7 +201,9 @@ COMMANDS = {
 
 #: Per-command flags beyond --n, --config, --out and --format: each command
 #: takes only what it reads, except that counterexample also takes --seed,
-#: unread, because perfbench appends --seed to every command it runs.
+#: unread, because perfbench appends --seed to every command it runs, and
+#: --threads, whose one accepted value is 1 (it runs its n values in order),
+#: because perfbench's witness workload passes --threads 1.
 COMMAND_FLAGS = {
     "verify": ("seed", "trials"),
     "kraw-table": (),
@@ -245,7 +217,7 @@ FLAG_ARGS = {
     "q": {"type": int, "choices": (0, 1), "help": "radius parity"},
     "seed": {"type": int, "help": "64-bit reproducibility seed"},
     "trials": {"type": int, "help": "random trial count"},
-    "threads": {"type": int, "help": "default: CUBEVAR_THREADS, then CPU count"},
+    "threads": {"type": int, "choices": (1,), "help": "only 1: the n values run in order"},
     "kind": {"choices": ("all-ones", "truncated", "corollary"), "default": "all-ones"},
 }
 

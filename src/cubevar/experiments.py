@@ -42,6 +42,8 @@ class ExperimentConfig:
             raise ValueError("power-rule exponent must lie in (0, 1)")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in 0..2^64 - 1, got {self.seed}")
 
 
 @dataclass

@@ -75,13 +75,11 @@ def _radial_terms(f: CubeFunction, rows, points=None):
     projection is inverse-transformed once and the result is `coef @ terms`,
     with coef the (m, levels) columns of the rows; otherwise each row takes
     one inverse transform, coef is None and terms is the (m, points) result
-    itself, float64 when f.values are.  A single-level f is its own level
-    projection: on the physical side terms is a view of f itself, with no
-    transform back, and on the spectral side its spectrum (folded, for the
-    half cube) is transformed in a buffer of its own.  Otherwise a
-    spectral-side f is read where it is, not copied.  A (levels or rows,
-    points) result that would exceed `PHYSICAL_MEMORY` raises MemoryError
-    before it is allocated.
+    itself, float64 when f.values are.  A physical-side f with a single
+    non-zero level is its own level projection: terms is a view of f itself,
+    with no transform back.  A spectral-side f is read where it is, not
+    copied.  A (levels or rows, points) result that would exceed
+    `PHYSICAL_MEMORY` raises MemoryError before it is allocated.
     """
     n = f.n
     rows = np.asarray(rows, dtype=np.float64)
@@ -104,10 +102,8 @@ def _radial_terms(f: CubeFunction, rows, points=None):
     else:        # one row takes the per-row route whatever levels f has, as if it had all
         levels = range(n + 1)
     pc, lo, hi = pc[:points], spec[:points], spec[points:]   # hi is empty unless folded
-    if len(levels) == 1 < len(rows):
-        if f.side == PHYSICAL:
-            return rows[:, levels], f.values[None, :points]
-        return rows[:, levels] * scale, fwht(lo + hi if fold else spec.copy())[None]
+    if len(levels) == 1 < len(rows) and f.side == PHYSICAL:
+        return rows[:, levels], f.values[None, :points]
     rows = rows * scale
     count = min(len(levels), len(rows))
     need = count * points * spec.itemsize

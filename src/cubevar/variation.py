@@ -340,11 +340,12 @@ def check_chain_lemma(l: int, M: int, s: float, trials: int, seed: int = 0) -> d
         lookup = dict(zip(domain, a))
         rhs = 0.0
         for g in range(l + 1):
-            inner = 0.0
-            for h in range(1, (1 << (l - g)) + 1):
-                if h * (1 << g) <= M:
-                    inner += abs(lookup[(h - 1) << g] - lookup[h << g]) ** s
-            rhs += inner ** (1 / s)
+            jumps = [abs(lookup[(h - 1) << g] - lookup[h << g])
+                     for h in range(1, (1 << (l - g)) + 1) if h << g <= M]
+            if jumps:       # none when 2^g > M
+                # scaled by 2^-e, the largest jump lies in [1/2, 1): its s-th power cannot overflow
+                e = math.frexp(max(jumps))[1]
+                rhs += math.ldexp(sum(math.ldexp(j, -e) ** s for j in jumps) ** (1 / s), e)
         rhs *= 2.0 ** (1 - 1 / s)
         worst = min(worst, rhs - lhs)
     return {"l": l, "M": M, "s": s, "trials": trials, "worst_slack": worst}

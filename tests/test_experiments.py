@@ -511,9 +511,9 @@ def test_half_cube_ratio_holds_half_the_projections():
 
 
 def test_concurrent_ratios_keep_their_own_buffers(monkeypatch):
-    # each ratio owns its tile buffer and each DP call its own tables, so ratios run on threads (as
-    # `map_ordered` runs them) give the bits of serial runs; BLOCK = 7 and
-    # a short switch interval interleave the threads between tiles
+    # each ratio owns its tile buffer and each DP call its own tables, so
+    # ratios run on threads give the bits of serial runs; BLOCK = 7 and a
+    # short switch interval interleave the threads between tiles
     monkeypatch.setattr(core, "BLOCK", 7)
     n = 9
     rng = np.random.default_rng(26)

@@ -247,7 +247,9 @@ def test_folded_blocks_match_first_half(n, monkeypatch):
         tol = 4 * np.finfo(float).eps * np.linalg.norm(full, axis=1, keepdims=True)
         assert (np.abs(folded - full[:, :half]) <= tol).all(), route
     if n > 1:      # at n = 1 an input with fewer levels than rows has one level
-        assert len(routes) == 8        # four routes, each real and complex
+        # three routes, each real and complex; a single-level spectral input
+        # takes the projection route with its one projection, labelled apart
+        assert len(routes) == 8
 
 
 @pytest.mark.parametrize("n", [9, 10])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,15 @@ def test_chain_lemma():
     # constant sequences give slack exactly zero on both sides
     report = check_chain_lemma(l=3, M=8, s=2.0, trials=1, seed=0)
     assert report["worst_slack"] >= 0.0
+
+
+def test_chain_lemma_bound_does_not_overflow_at_large_s():
+    # unscaled, |jump|^500 overflows to inf for jumps above about 4.1, and an
+    # infinite bound passes whatever the left side
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slack = check_chain_lemma(l=5, M=24, s=500.0, trials=100)["worst_slack"]
+    assert math.isfinite(slack) and slack >= 0.0
 
 
 def test_chain_lemma_errors():
