@@ -12,8 +12,6 @@ from .krawtchouk import (
     bound_scan_a,
     bound_scan_b_c,
     build_table,
-    check_difference_identity,
-    check_fact_properties,
     estimate_exp_constant,
     kraw_exact,
 )
@@ -21,14 +19,11 @@ from .operators import (
     apply_radial_multipliers,
     noise_binomial,
     noise_multiplier,
-    semigroup_axioms_check,
     spherical_mean_direct,
     spherical_mean_multiplier,
     spherical_mean_stack,
 )
 from .variation import (
-    check_chain_lemma,
-    check_variation_properties,
     dyadic_floor,
     dyadic_partition,
     vr_pointwise_values,

@@ -119,10 +119,10 @@ def cmd_verify(args) -> int:
 
 def cmd_kraw_table(args) -> int:
     cfg = _merge_config(args)
+    tables = [build_table(n) for n in cfg.n_list]     # a bad n writes no file
     os.makedirs(args.out, exist_ok=True)
     status = 0
-    for n in cfg.n_list:
-        table = build_table(n)
+    for n, table in zip(cfg.n_list, tables):
         path = os.path.join(args.out, f"kraw-table-n{n}.csv")
         table.export_csv(path)
         print(f"kraw-table: n={n} rows={(n + 1) ** 2} -> {path}")

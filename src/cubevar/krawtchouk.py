@@ -1,4 +1,4 @@
-"""Exact-rational Krawtchouk polynomial tables and the identity/bound sweeps.
+"""Exact-rational Krawtchouk polynomial tables and the bound scans.
 
 The normalized polynomial is
 
@@ -60,45 +60,6 @@ def build_table(n: int) -> KrawtchoukTable:
     return KrawtchoukTable(n)
 
 
-def check_fact_properties(n: int) -> dict:
-    """Exact check of the four basic properties: |kappa| <= 1, kappa_k(0) = 1,
-    symmetry in (k, x), and the (-1)^k reflection at x -> n - x."""
-    t = build_table(n)
-    failures = 0
-    checked = 0
-    for k in range(n + 1):
-        for x in range(n + 1):
-            v = t.exact[k][x]
-            checked += 4
-            if abs(v) > 1:
-                failures += 1
-            if x == 0 and v != 1:
-                failures += 1
-            if v != t.exact[x][k]:
-                failures += 1
-            if v != (-1) ** k * t.exact[k][n - x]:
-                failures += 1
-    return {"n": n, "checked": checked, "failures": failures}
-
-
-def check_difference_identity(n: int) -> dict:
-    """Exact check of kappa^(n)_k(x) - kappa^(n)_k(x-1) = -(2k/n) kappa^(n-1)_{k-1}(x-1)."""
-    if n < 2:
-        raise ValueError("difference identity needs n >= 2")
-    t = build_table(n)
-    s = build_table(n - 1)
-    failures = 0
-    checked = 0
-    for k in range(1, n + 1):
-        for x in range(1, n + 1):
-            lhs = t.exact[k][x] - t.exact[k][x - 1]
-            rhs = Fraction(-2 * k, n) * s.exact[k - 1][x - 1]
-            checked += 1
-            if lhs != rhs:
-                failures += 1
-    return {"n": n, "checked": checked, "failures": failures}
-
-
 def bound_scan_a(n: int) -> dict:
     """Exact sweep of |kappa - 1| * n / (k*x); the sharp constant is 2."""
     t = build_table(n)
@@ -110,15 +71,7 @@ def bound_scan_a(n: int) -> dict:
             if ratio > best:
                 best = ratio
                 argmax = (k, x)
-    return {
-        "n": n,
-        "constant_name": "bound_a_ratio",
-        "value": float(best),
-        "exact": best,
-        "attains_two": best == 2,
-        "within_two": best <= 2,
-        "argmax": argmax,
-    }
+    return {"value": float(best), "exact": best, "argmax": argmax}
 
 
 def bound_scan_b_c(n: int) -> dict:
@@ -163,4 +116,4 @@ def estimate_exp_constant(n_max: int) -> dict:
                 if c < c_hat:
                     c_hat = c
                     argmin = (n, k, x)
-    return {"n_max": n_max, "constant_name": "c_hat", "value": c_hat, "argmin": argmin}
+    return {"value": c_hat, "argmin": argmin}

@@ -22,7 +22,8 @@ from .krawtchouk import build_table
 
 try:
     #: Bytes of physical memory, read once: `_radial_terms` refuses a result
-    #: larger than this before allocating it.  None where it is not reported.
+    #: that, with its inputs, would need more than this, before allocating
+    #: it.  None where it is not reported.
     PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 except (AttributeError, ValueError, OSError):
     PHYSICAL_MEMORY = None
@@ -78,8 +79,9 @@ def _radial_terms(f: CubeFunction, rows, points=None):
     itself, float64 when f.values are.  A physical-side f with a single
     non-zero level is its own level projection: terms is a view of f itself,
     with no transform back.  A spectral-side f is read where it is, not
-    copied.  A (levels or rows, points) result that would exceed
-    `PHYSICAL_MEMORY` raises MemoryError before it is allocated.
+    copied.  When the (levels or rows, points) result, f, the spectrum copy
+    of a physical f and the popcounts would together exceed
+    `PHYSICAL_MEMORY`, MemoryError is raised before the result is allocated.
     """
     n = f.n
     rows = np.asarray(rows, dtype=np.float64)
@@ -106,9 +108,11 @@ def _radial_terms(f: CubeFunction, rows, points=None):
         return rows[:, levels], f.values[None, :points]
     rows = rows * scale
     count = min(len(levels), len(rows))
-    need = count * points * spec.itemsize
+    # the result, f, the spectrum copy of a physical f and the popcounts (1 B a point)
+    need = count * points * spec.itemsize + f.values.nbytes + size
+    need += spec.nbytes if f.side == PHYSICAL else 0
     if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
-        raise MemoryError(f"{count} x {points} values need {need} bytes, more than the "
+        raise MemoryError(f"{count} x {points} values and f need {need} bytes, more than the "
                           f"{PHYSICAL_MEMORY} bytes of physical memory")
     if len(levels) < len(rows):
         proj = np.zeros((len(levels), points), dtype=spec.dtype)
@@ -206,37 +210,3 @@ def noise_binomial(f: CubeFunction, t: float) -> CubeFunction:
     u = (1.0 - math.exp(-t)) / 2.0
     pc = popcounts(n)
     return convolve(f, CubeFunction(n, u ** pc * (1.0 - u) ** (n - pc)))
-
-
-def semigroup_axioms_check(n: int, t_grid, trials: int = 20, seed: int = 0) -> dict:
-    """Worst violation of the four diffusion-semigroup axioms of N_t on random
-    inputs: contraction in p = 1, 2, inf; self-adjointness; positivity on
-    nonnegative inputs; conservation of constants."""
-    rng = np.random.default_rng(seed)
-    size = 1 << n
-    worst = {
-        "contraction_p1": 0.0,
-        "contraction_p2": 0.0,
-        "contraction_pinf": 0.0,
-        "symmetry": 0.0,
-        "positivity": 0.0,
-        "conservation": 0.0,
-    }
-    ones = CubeFunction(n, np.ones(size))
-    for t in t_grid:
-        c = noise_multiplier(ones, t)
-        worst["conservation"] = max(worst["conservation"], float(np.abs(c.values - 1).max()))
-        for _ in range(trials):
-            f = CubeFunction(n, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-            g = CubeFunction(n, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-            nf = noise_multiplier(f, t)
-            for p, key in ((1, "contraction_p1"), (2, "contraction_p2"), (math.inf, "contraction_pinf")):
-                worst[key] = max(worst[key], nf.norm(p) - f.norm(p))
-            lhs = np.vdot(g.values, nf.values)
-            rhs = np.vdot(noise_multiplier(g, t).values, f.values)
-            worst["symmetry"] = max(worst["symmetry"], abs(lhs - rhs))
-            pos = CubeFunction(n, np.abs(rng.standard_normal(size)))
-            npos = noise_multiplier(pos, t)
-            worst["positivity"] = max(worst["positivity"], float(-npos.values.min()))
-    worst["max_violation"] = max(worst.values())
-    return worst

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cubevar import cli, krawtchouk, operators
+from cubevar import cli, operators
 from cubevar.checks import CHECKS
 from cubevar.core import MAX_DIM
 from cubevar.cli import main, parse_config
@@ -78,7 +78,9 @@ def test_verify_passes(tmp_path, capsys):
 
 
 def test_verify_counts_identity_failures_and_names_them(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(krawtchouk, "check_fact_properties", lambda m: {"failures": m})
+    _, within, tol = CHECKS["krawtchouk_identity_failures"]     # n failures at each n
+    monkeypatch.setitem(CHECKS, "krawtchouk_identity_failures",
+                        (lambda dims: (sum(dims), None), within, tol))
     code = main(["verify", "--n", "4", "--trials", "2", "--out", str(tmp_path), "--format", "json"])
     assert code == 1
     err = capsys.readouterr().err
@@ -238,6 +240,23 @@ def test_result_above_physical_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "bytes of physical memory" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_preflight_counts_the_input(tmp_path, capsys, monkeypatch):
+    # 9 x 2^15 complex level projections alone: f's 2^16 complex values and
+    # its popcounts take the estimate past this budget
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 9 * 2**15 * 16)
+    code = main(["half-spectrum", "--n", "16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "5832704 bytes, more than the 4718592 bytes" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_kraw_table_bad_n_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["kraw-table", "--n", "4,65", "--out", str(out)]) == 2
+    assert "65" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_counterexample_corollary_reads_alpha(tmp_path, capsys):

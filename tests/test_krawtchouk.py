@@ -9,11 +9,10 @@ from cubevar import (
     bound_scan_a,
     bound_scan_b_c,
     build_table,
-    check_difference_identity,
-    check_fact_properties,
     estimate_exp_constant,
     kraw_exact,
 )
+from cubevar.checks import krawtchouk_identity_failures
 
 
 def test_kraw_exact_hand_values():
@@ -47,16 +46,21 @@ def test_build_table_range_error():
         build_table(65)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
 def test_fact_properties_exact(n):
-    assert check_fact_properties(n)["failures"] == 0
+    # the four basic properties and, from n = 2, the difference identity
+    assert krawtchouk_identity_failures([n]) == (0, None)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 12])
 def test_difference_identity(n):
-    report = check_difference_identity(n)
-    assert report["failures"] == 0
-    assert report["checked"] == n * n
+    # kappa^(n)_k(x) - kappa^(n)_k(x-1) = -(2k/n) kappa^(n-1)_{k-1}(x-1),
+    # checked on the tables directly, independent of the checks module
+    t, s = build_table(n).exact, build_table(n - 1).exact
+    pairs = [(k, x) for k in range(1, n + 1) for x in range(1, n + 1)]
+    assert len(pairs) == n * n
+    for k, x in pairs:
+        assert t[k][x] - t[k][x - 1] == Fraction(-2 * k, n) * s[k - 1][x - 1]
 
 
 def test_difference_identity_hand_case():
@@ -75,10 +79,10 @@ def test_float_table_matches_exact():
 
 def test_bound_scan_a():
     scan = bound_scan_a(2)
-    assert scan["within_two"] and scan["attains_two"]
+    assert scan["exact"] == 2
     assert scan["argmax"] in ((1, 1), (1, 2), (2, 1))
     for n in (5, 10, 16):
-        assert bound_scan_a(n)["within_two"]
+        assert bound_scan_a(n)["exact"] <= 2
 
 
 def test_bound_scan_b_c_finite():

@@ -13,7 +13,6 @@ from cubevar import (
     noise_binomial,
     noise_multiplier,
     popcounts,
-    semigroup_axioms_check,
     spherical_mean_direct,
     spherical_mean_multiplier,
     spherical_mean_stack,
@@ -303,17 +302,19 @@ def test_folded_engine_holds_half_the_projections(monkeypatch):
     n = 8
     rng = np.random.default_rng(20)
     cases = [
-        (rand_fn(n, rng), n + 1),                                 # per-row route
-        (random_halfspectrum_function(n, rng), n // 2 + 1),       # projection route
+        (rand_fn(n, rng), n + 1, 2),                              # per-row route
+        (random_halfspectrum_function(n, rng), n // 2 + 1, 1),    # projection route
     ]
-    for f, count in cases:
-        need = count * (1 << n) * 16
-        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need // 2)
+    for f, count, copies in cases:
+        # f with a physical f's spectrum copy, and the popcounts, beside the result
+        inputs = copies * (1 << n) * 16 + (1 << n)
+        half, full = count * (1 << (n - 1)) * 16 + inputs, count * (1 << n) * 16 + inputs
+        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", half)
         assert variation_norm_ratio(f, range(n + 1), 2.0) > 0
-        with pytest.raises(MemoryError, match=f"{need} bytes, more than the {need // 2} bytes"):
+        with pytest.raises(MemoryError, match=f"{full} bytes, more than the {half} bytes"):
             spherical_mean_stack(f, range(n + 1))
-        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need // 2 - 1)
-        with pytest.raises(MemoryError, match=f"{need // 2} bytes, more than the"):
+        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", half - 1)
+        with pytest.raises(MemoryError, match=f"{half} bytes, more than the"):
             variation_norm_ratio(f, range(n + 1), 2.0)
 
 
@@ -345,8 +346,8 @@ def test_noise_binomial_weights_sum_to_one():
 
 
 def test_semigroup_axioms():
-    report = semigroup_axioms_check(8, [0.01, 0.1, 1.0, 5.0], trials=10, seed=0)
-    assert report["max_violation"] <= 1e-10
+    res = run_check("semigroup_max_violation", cases=[(8, 10)], seed=0)
+    assert res["passed"] and res["value"] <= 1e-10
 
 
 def test_semigroup_symmetry_on_basis():
@@ -396,11 +397,12 @@ def test_result_above_physical_memory_raises(monkeypatch):
     n = 8
     rng = np.random.default_rng(16)
     cases = [
-        (rand_fn(n, rng), n + 1),                                 # per-row route
-        (random_halfspectrum_function(n, rng), n // 2 + 1),       # projection route
+        (rand_fn(n, rng), n + 1, 2),                              # per-row route
+        (random_halfspectrum_function(n, rng), n // 2 + 1, 1),    # projection route
     ]
-    for f, count in cases:
-        need = count * (1 << n) * 16
+    for f, count, copies in cases:
+        # the result, f with a physical f's spectrum copy, and the popcounts
+        need = (count + copies) * (1 << n) * 16 + (1 << n)
         monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need - 1)
         with pytest.raises(MemoryError, match=f"{need} bytes, more than the {need - 1} bytes"):
             spherical_mean_stack(f, range(n + 1))

@@ -12,8 +12,6 @@ from cubevar import (
     CubeFunction,
     build_table,
     character,
-    check_chain_lemma,
-    check_variation_properties,
     counterexample_all_ones,
     dyadic_floor,
     dyadic_partition,
@@ -21,7 +19,8 @@ from cubevar import (
     variation,
     vr_pointwise_values,
 )
-from cubevar.checks import run_check
+from cubevar import checks
+from cubevar.checks import chain_lemma_worst_slack, run_check, variation_worst_slack
 from variation_oracles import vr_bruteforce, vr_exact
 
 
@@ -106,22 +105,21 @@ def test_dyadic_partition_exhaustive(l):
 
 
 def test_variation_properties_sweep():
-    report = check_variation_properties(300, seed=0)
-    assert report["worst"] >= -1e-10
+    assert run_check("variation_worst_slack", trials=300, seed=0)["value"] >= -1e-10
 
 
 def test_variation_properties_requires_trials():
     with pytest.raises(ValueError):
-        check_variation_properties(0)
+        variation_worst_slack(0, seed=0)
 
 
 def test_chain_lemma():
     for s in (1.5, 2.0, 3.0):
-        report = check_chain_lemma(l=5, M=24, s=s, trials=100, seed=3)
-        assert report["worst_slack"] >= -1e-10
+        res = run_check("chain_lemma_worst_slack", cases=[(5, 24, s)], trials=100, seed=3)
+        assert res["value"] >= -1e-10
     # constant sequences give slack exactly zero on both sides
-    report = check_chain_lemma(l=3, M=8, s=2.0, trials=1, seed=0)
-    assert report["worst_slack"] >= 0.0
+    res = run_check("chain_lemma_worst_slack", cases=[(3, 8, 2.0)], trials=1, seed=0)
+    assert res["value"] >= 0.0
 
 
 def test_chain_lemma_bound_does_not_overflow_at_large_s():
@@ -129,17 +127,17 @@ def test_chain_lemma_bound_does_not_overflow_at_large_s():
     # infinite bound passes whatever the left side
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        slack = check_chain_lemma(l=5, M=24, s=500.0, trials=100)["worst_slack"]
+        slack, _ = chain_lemma_worst_slack([(5, 24, 500.0)], trials=100, seed=0)
     assert math.isfinite(slack) and slack >= 0.0
 
 
 def test_chain_lemma_errors():
     with pytest.raises(ValueError):
-        check_chain_lemma(l=11, M=3, s=2.0, trials=1)
+        chain_lemma_worst_slack([(11, 3, 2.0)], trials=1, seed=0)
     with pytest.raises(ValueError):
-        check_chain_lemma(l=3, M=3, s=0.9, trials=1)
+        chain_lemma_worst_slack([(3, 3, 0.9)], trials=1, seed=0)
     with pytest.raises(ValueError):
-        check_chain_lemma(l=3, M=8, s=2.0, trials=0)
+        chain_lemma_worst_slack([(3, 8, 2.0)], trials=0, seed=0)
 
 
 def test_vr_pointwise_matches_per_point():
@@ -422,7 +420,7 @@ def test_vr_padded_columns_match_unpadded(sequences):
     # ragged sequences padded by their last value into one stack give the
     # bits of each sequence alone, at every order
     orders = [1.0, 2.0, 2.5, 3.0]
-    values = variation._ragged_values(sequences, orders)
+    values = checks._ragged_values(sequences, orders)
     assert values.shape == (len(orders), len(sequences))
     for seq, column in zip(sequences, values.T):
         assert np.array_equal(column, vr_pointwise_values(seq[:, None], orders)[:, 0])
@@ -431,10 +429,10 @@ def test_vr_padded_columns_match_unpadded(sequences):
 def test_variation_properties_draw_order():
     # the sweep's slacks at seed 0 as the scalar DP gave them, one sequence
     # at a time: the batched sweep draws the same sequences in the same order
-    report = check_variation_properties(200, seed=0)
-    assert report["triangle"] == pytest.approx(5.231964334750927e-05, rel=1e-14)
-    assert report["ell_r_bound"] == pytest.approx(0.3731765106331708, rel=1e-14)
-    assert report["dyadic_decomposition"] == pytest.approx(0.07348609218607605, rel=1e-14)
+    slack = run_check("variation_worst_slack", trials=200, seed=0)["witness"]
+    assert slack["triangle"] == pytest.approx(5.231964334750927e-05, rel=1e-14)
+    assert slack["ell_r_bound"] == pytest.approx(0.3731765106331708, rel=1e-14)
+    assert slack["dyadic_decomposition"] == pytest.approx(0.07348609218607605, rel=1e-14)
 
 
 def test_variation_properties_sweep_memory():
@@ -442,7 +440,7 @@ def test_variation_properties_sweep_memory():
     # traced about 7 MB
     tracemalloc.start()
     try:
-        check_variation_properties(200, seed=0)
+        variation_worst_slack(200, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -457,5 +455,5 @@ def test_chain_lemma_runs_one_dp_call(monkeypatch):
         return vr_pointwise_values(stack, r)
 
     monkeypatch.setattr(variation, "vr_pointwise_values", counted)
-    check_chain_lemma(l=5, M=24, s=2.0, trials=40, seed=3)
+    chain_lemma_worst_slack([(5, 24, 2.0)], trials=40, seed=3)
     assert calls == [(25, 40)]
