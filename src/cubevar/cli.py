@@ -24,6 +24,7 @@ from .experiments import (
     phi_scan,
     proposition_halfspectrum_scan,
     psi_scan,
+    record,
 )
 
 
@@ -81,10 +82,7 @@ def _emit(report: ExperimentReport, out_dir, fmt: str) -> None:
     if fmt in ("csv", "both"):
         report.write_csv(os.path.join(out_dir, f"{report.name}.csv"))
     for rec in report.records:
-        print(
-            f"{report.name}: n={rec.get('n')} r={rec.get('r')} q={rec.get('q')} "
-            f"{rec.get('metric')}={rec.get('value')}"
-        )
+        print(f"{report.name}: n={rec['n']} r={rec['r']} q={rec['q']} {rec['metric']}={rec['value']}")
 
 
 def cmd_verify(args) -> int:
@@ -107,8 +105,7 @@ def cmd_verify(args) -> int:
         res = run_check(name, **sizes[name])
         verdict = "PASS" if res["passed"] else "FAIL"
         print(f"CHECK {name} {res['value']} {res['tol']} {verdict} {res['elapsed']:.3f}s")
-        witness = {} if res["witness"] is None else {"witness": res["witness"]}
-        report.add({"n": n, "metric": name, "value": res["value"], **witness})
+        report.add(record(n, name, res["value"], res["witness"]))
         if not res["passed"]:
             failed.append(name)
     _emit(report, args.out, args.format)
@@ -129,16 +126,15 @@ def cmd_kraw_table(args) -> int:
     report = ExperimentReport("kraw-scans", asdict(cfg))
     for n in cfg.n_list:
         if n >= 2:
-            report.add({"n": n, "metric": "bound_a_max_ratio", "value": bound_scan_a(n)["value"]})
-            bc = bound_scan_b_c(n)
-            report.add({"n": n, "metric": "C_b", "value": bc["C_b"], "witness": {"argmax": bc["argmax_b"]}})
-            report.add({"n": n, "metric": "C_c", "value": bc["C_c"], "witness": {"argmax": bc["argmax_c"]}})
+            exact, witness = bound_scan_a(n)
+            report.add(record(n, "bound_a_max_ratio", float(exact), witness))
+            for metric, (value, witness) in zip(("C_b", "C_c"), bound_scan_b_c(n)):
+                report.add(record(n, metric, value, witness))
     if max(cfg.n_list) >= 2:
-        est = estimate_exp_constant(max(cfg.n_list))
-        ok = est["value"] > 0
-        status = 0 if ok else 1
-        report.add({"n": max(cfg.n_list), "metric": "c_hat", "value": est["value"],
-                    "witness": {"argmin": est["argmin"]}})
+        # c_hat is None when no quadrant entry constrains c (n = 2)
+        c_hat, witness = estimate_exp_constant(max(cfg.n_list))
+        status = 1 if c_hat is not None and c_hat <= 0 else 0
+        report.add(record(max(cfg.n_list), "c_hat", c_hat, witness))
     _emit(report, args.out, args.format)
     return status
 

@@ -1,13 +1,16 @@
 """Counterexample reproduction and multiplier scans.
 
-Every record carries (n, r, q, metric, value, witness) and is assembled into an
-ExperimentReport that serializes to JSON (full) and CSV (records only).  All
-randomness flows from a single 64-bit seed through numpy's PCG64 generator, so
-identical (config, seed) pairs produce byte-identical reports.
+Every record is built by `record`, with the keys (n, r, q, metric, value,
+witness), and is assembled into an ExperimentReport that serializes to JSON
+(full) and CSV (records only); None, never inf or NaN, stands for a value that
+does not exist.  All randomness flows from a single 64-bit seed through
+numpy's PCG64 generator, so identical (config, seed) pairs produce
+byte-identical reports.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,6 +23,12 @@ from .operators import _kraw_rows, _radial_multiplier_blocks
 from .variation import _check_order, vr_pointwise_values
 
 CSV_HEADER = ["experiment", "n", "r", "q", "metric", "value", "witness"]
+
+
+def record(n, metric, value, witness=None, r=None, q=None) -> dict:
+    """One report record, its keys in CSV order; None marks a value, order,
+    parity or witness that does not exist."""
+    return {"n": n, "r": r, "q": q, "metric": metric, "value": value, "witness": witness}
 
 
 @dataclass
@@ -58,6 +67,8 @@ class ExperimentReport:
     def extend(self, records) -> None:
         self.records.extend(records)
 
+    # Both formats raise ValueError on an inf or NaN anywhere in a record, and
+    # serialize before they open the file, so a refused report writes nothing.
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -66,33 +77,33 @@ class ExperimentReport:
                 "records": self.records,
             },
             indent=2,
-            default=str,
+            allow_nan=False,
         )
 
+    def to_csv(self) -> str:
+        """The records as CSV rows under CSV_HEADER: a None cell is empty, a
+        value is written as a float and the witness as a JSON blob."""
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(CSV_HEADER)
+        for rec in self.records:
+            value = rec["value"]
+            writer.writerow([
+                self.name, rec["n"], rec["r"], rec["q"], rec["metric"],
+                None if value is None else json.dumps(float(value), allow_nan=False),
+                json.dumps(rec["witness"], allow_nan=False),
+            ])
+        return out.getvalue()
+
     def write_json(self, path) -> None:
+        text = self.to_json() + "\n"
         with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+            fh.write(text)
 
     def write_csv(self, path) -> None:
+        text = self.to_csv()
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for rec in self.records:
-                value = rec.get("value", "")
-                if isinstance(value, (int, float, np.floating, np.integer)):
-                    value = repr(float(value))
-                writer.writerow(
-                    [
-                        self.name,
-                        rec.get("n", ""),
-                        rec.get("r", ""),
-                        rec.get("q", ""),
-                        rec.get("metric", ""),
-                        value,
-                        json.dumps(rec.get("witness", None), default=float),
-                    ]
-                )
+            fh.write(text)
 
 
 #: Points per reduction chunk of `variation_norm_ratio` (or all reduced
@@ -167,8 +178,8 @@ def _ratio_records(n: int, r_list, ratios, metric: str, bound, slack: float, wit
     records = []
     for r, ratio in zip(r_list, ratios):
         lower = bound(r)
-        record = {**witness, "lower_bound": lower, "satisfied": bool(ratio >= lower - slack)}
-        records.append({"n": n, "r": r, "q": None, "metric": metric, "value": ratio, "witness": record})
+        records.append(record(n, metric, ratio, {**witness, "lower_bound": lower,
+                                                 "satisfied": bool(ratio >= lower - slack)}, r=r))
     return records
 
 
@@ -209,24 +220,16 @@ def counterexample_corollary(n: int, r_list, alpha: float) -> list:
     weight ceil(n - d_n) - 1; the ratio is evaluated on the multiplier sequence
     of the witness character.  The weight lies below n - d_n, outside E_n, by
     construction.  Where it is not admissible (small n) the records are
-    `corollary_skipped`, with a NaN value.
+    `corollary_skipped`, with the value None.
     """
     b_n = n**alpha
     d_n = max(1.0 / 9.0, b_n)
     a_n = math.sqrt(n * d_n)
     weight = math.ceil(n - d_n) - 1
     if weight < 0 or weight < n - a_n:
-        return [
-            {
-                "n": n,
-                "r": r,
-                "q": None,
-                "metric": "corollary_skipped",
-                "value": float("nan"),
-                "witness": {"weight": weight, "reason": "witness construction impossible"},
-            }
-            for r in r_list
-        ]
+        return [record(n, "corollary_skipped", None,
+                       {"weight": weight, "reason": "witness construction impossible"}, r=r)
+                for r in r_list]
     ratios = character_variation(n, weight, range(n + 1), r_list)
     return _ratio_records(n, r_list, ratios, "corollary_ratio", _truncated_bound(n, a_n), 1e-12,
                           {"weight": weight, "b_n": b_n, "d_n": d_n, "a_n": a_n})
@@ -253,14 +256,7 @@ def parity_character_scan(n: int, r: float, q: int) -> dict:
     values = vr_pointwise_values(_kraw_rows(n, parity_radii(n, q)), r).tolist()
     top = max(values)
     weight = next(w for w, v in enumerate(values) if top - v <= TIE_ULPS * math.ulp(top))
-    return {
-        "n": n,
-        "r": r,
-        "q": q,
-        "metric": "parity_character_max",
-        "value": top,
-        "witness": {"weight": weight, "per_level": values},
-    }
+    return record(n, "parity_character_max", top, {"weight": weight, "per_level": values}, r=r, q=q)
 
 
 def random_halfspectrum_function(n: int, rng) -> CubeFunction:
@@ -286,17 +282,9 @@ def proposition_halfspectrum_scan(n: int, r_list, trials: int, seed: int) -> lis
         f = random_halfspectrum_function(n, rng)
         ratios = variation_norm_ratio(f, range(n + 1), r_list)
         best = [max(b, ratio) for b, ratio in zip(best, ratios)]
-    return [
-        {
-            "n": n,
-            "r": r,
-            "q": None,
-            "metric": "halfspectrum_random_max",
-            "value": value,
-            "witness": {"trials": trials, "seed": seed, "kind": "lower_bound"},
-        }
-        for r, value in zip(r_list, best)
-    ]
+    return [record(n, "halfspectrum_random_max", value,
+                   {"trials": trials, "seed": seed, "kind": "lower_bound"}, r=r)
+            for r, value in zip(r_list, best)]
 
 
 def dyadic_radii(n: int) -> list:
@@ -320,14 +308,8 @@ def phi_scan(n: int) -> dict:
         phi = sum((table.float[k, x] - math.exp(-k * x / n)) ** 2 for k in radii)
         values.append(phi)
     argmax = int(np.argmax(values))
-    return {
-        "n": n,
-        "r": None,
-        "q": None,
-        "metric": "phi_max",
-        "value": float(values[argmax]),
-        "witness": {"argmax_x": argmax, "phi_at_zero": values[0], "per_level": values},
-    }
+    return record(n, "phi_max", float(values[argmax]),
+                  {"argmax_x": argmax, "phi_at_zero": values[0], "per_level": values})
 
 
 def psi_scan(n: int) -> dict:
@@ -352,12 +334,6 @@ def psi_scan(n: int) -> dict:
     for x in range(half + 1):
         psi = sum(w * (table.float[lo, x] - table.float[hi, x]) ** 2 for w, lo, hi in triples)
         values.append(psi)
-    argmax = int(np.argmax(values)) if values else 0
-    return {
-        "n": n,
-        "r": None,
-        "q": None,
-        "metric": "psi_max",
-        "value": float(values[argmax]),
-        "witness": {"argmax_x": argmax, "psi_at_zero": values[0], "per_level": values},
-    }
+    argmax = int(np.argmax(values))
+    return record(n, "psi_max", float(values[argmax]),
+                  {"argmax_x": argmax, "psi_at_zero": values[0], "per_level": values})

@@ -14,6 +14,7 @@ import csv
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -60,60 +61,43 @@ def build_table(n: int) -> KrawtchoukTable:
     return KrawtchoukTable(n)
 
 
-def bound_scan_a(n: int) -> dict:
-    """Exact sweep of |kappa - 1| * n / (k*x); the sharp constant is 2."""
+def bound_scan_a(n: int):
+    """Exact max of |kappa - 1| * n / (k*x) over k, x >= 1 (the sharp
+    constant is 2), as a Fraction, and its first (k, x)."""
     t = build_table(n)
-    best = Fraction(0)
-    argmax = None
-    for k in range(1, n + 1):
-        for x in range(1, n + 1):
-            ratio = abs(t.exact[k][x] - 1) * Fraction(n, k * x)
-            if ratio > best:
-                best = ratio
-                argmax = (k, x)
-    return {"value": float(best), "exact": best, "argmax": argmax}
+    best, argmax = max(((abs(t.exact[k][x] - 1) * Fraction(n, k * x), (k, x))
+                        for k in range(1, n + 1) for x in range(1, n + 1)), key=itemgetter(0))
+    return best, {"argmax": argmax}
 
 
-def bound_scan_b_c(n: int) -> dict:
+def bound_scan_b_c(n: int):
     """Empirical constants for |kappa| <~ n/(kx) and |kappa_k - kappa_{k-1}| <~ 1/k
-    over the quadrant k, x <= n/2."""
+    over the quadrant k, x <= n/2: (C_b, witness), (C_c, witness), each
+    witness holding the first (k, x) that attains the maximum."""
     if n < 2:
         raise ValueError("scan needs n >= 2")
     t = build_table(n)
-    half = n // 2
-    c_b, arg_b = 0.0, None
-    c_c, arg_c = 0.0, None
-    for k in range(1, half + 1):
-        for x in range(1, half + 1):
-            v = abs(t.float[k, x]) * k * x / n
-            if v > c_b:
-                c_b, arg_b = v, (k, x)
-        for x in range(0, half + 1):
-            v = abs(t.float[k, x] - t.float[k - 1, x]) * k
-            if v > c_c:
-                c_c, arg_c = v, (k, x)
-    return {"n": n, "C_b": c_b, "argmax_b": arg_b, "C_c": c_c, "argmax_c": arg_c}
+    quadrant = range(1, n // 2 + 1)
+    c_b, arg_b = max(((abs(t.float[k, x]) * k * x / n, (k, x)) for k in quadrant for x in quadrant),
+                     key=itemgetter(0))
+    c_c, arg_c = max(((abs(t.float[k, x] - t.float[k - 1, x]) * k, (k, x))
+                      for k in quadrant for x in range(n // 2 + 1)), key=itemgetter(0))
+    return (c_b, {"argmax": arg_b}), (c_c, {"argmax": arg_c})
 
 
-def estimate_exp_constant(n_max: int) -> dict:
-    """Empirical constant in |kappa_k(x)| <= exp(-c k x / n) for k, x <= n/2.
-
-    Returns the minimum of -n ln|kappa| / (kx); exact zeros are skipped since
-    the bound is vacuous there.
+def estimate_exp_constant(n_max: int):
+    """Empirical constant in |kappa_k(x)| <= exp(-c k x / n) for k, x <= n/2,
+    2 <= n <= n_max: the minimum of -n ln|kappa| / (kx), and its first
+    (n, k, x).  Exact zeros are skipped since the bound is vacuous there;
+    when no entry is left (n_max = 2) the value is None.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    c_hat = math.inf
-    argmin = None
+    candidates = []
     for n in range(2, n_max + 1):
         t = build_table(n)
-        half = n // 2
-        for k in range(1, half + 1):
-            for x in range(1, half + 1):
-                if t.exact[k][x] == 0:
-                    continue
-                c = -n * math.log(abs(t.float[k, x])) / (k * x)
-                if c < c_hat:
-                    c_hat = c
-                    argmin = (n, k, x)
-    return {"value": c_hat, "argmin": argmin}
+        quadrant = range(1, n // 2 + 1)
+        candidates += [(-n * math.log(abs(t.float[k, x])) / (k * x), (n, k, x))
+                       for k in quadrant for x in quadrant if t.exact[k][x] != 0]
+    c_hat, argmin = min(candidates, key=itemgetter(0), default=(None, None))
+    return c_hat, {"argmin": argmin}

@@ -55,6 +55,20 @@ def _unit_shift(spread, first):
     return shift, shift > top if shift.max() > top.min() else False
 
 
+def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
+    """np.empty(shape, dtype) with its data on a 64-byte cache-line boundary.
+
+    numpy aligns to 16 bytes only, and whether a buffer lands on a line moves
+    with the heap layout of the process.  The DP's buffers off a line made an
+    n = 20 witness block about 20% slower (AVX-512 vector loads that span
+    two lines), and so made its run time depend on unrelated code."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
 def _orders(r) -> list:
     """The orders in `r` (one order or a sequence of them), each checked."""
     orders = [float(x) for x in np.ravel(r)]
@@ -96,11 +110,11 @@ def vr_pointwise_values(stack: np.ndarray, r, *, overwrite: bool = False) -> np.
     width = max(1, min(size, core.BLOCK * 8 // dtype.itemsize))
     in_place = (overwrite and stack.dtype == dtype and stack.flags.writeable
                 and stack.strides[1] == dtype.itemsize)
-    scratch = None if in_place else np.empty((m, width), dtype=dtype)
-    best = np.empty((sum(x != 1 for x in distinct), m, width))
-    jump, square, cand = np.empty((3, width))
-    diff = np.empty(width, dtype=dtype) if dtype.kind == "c" else jump
-    out = np.empty((len(distinct), size))
+    scratch = None if in_place else _aligned_empty((m, width), dtype)
+    best = _aligned_empty((sum(x != 1 for x in distinct), m, width))
+    jump, square, cand = _aligned_empty((3, width))
+    diff = _aligned_empty((width,), dtype) if dtype.kind == "c" else jump
+    out = _aligned_empty((len(distinct), size))
     for start in range(0, size, width):
         block = stack[:, start:start + width]
         w = block.shape[1]

@@ -22,7 +22,7 @@ from cubevar import (
 )
 from cubevar.checks import run_check
 from cubevar.cli import main
-from cubevar.experiments import ExperimentReport
+from cubevar.experiments import ExperimentReport, record
 from variation_oracles import vr_bruteforce, vr_exact
 
 
@@ -140,7 +140,7 @@ def test_10_parity_vs_full_blowup(tmp_path):
         full = max(
             vr_exact(table.float[:, m], r) for m in range(n + 1)
         )
-        report.add({"n": n, "r": r, "q": None, "metric": "full_range_character_max", "value": full})
+        report.add(record(n, "full_range_character_max", full, r=r))
         full_ok &= full >= 2 * n ** (1 / r) - 1e-9
     parity_ok = all(
         parity_max[q][n] <= 1.25 * parity_max[q][12]

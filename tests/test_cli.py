@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -7,7 +8,16 @@ from cubevar import cli, operators
 from cubevar.checks import CHECKS
 from cubevar.core import MAX_DIM
 from cubevar.cli import main, parse_config
-from cubevar.experiments import ExperimentConfig
+from cubevar.experiments import ExperimentConfig, record
+
+KEYS = ["n", "r", "q", "metric", "value", "witness"]
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict JSON parsers do."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
 
 
 def test_parse_config_empty_defaults(tmp_path):
@@ -86,7 +96,18 @@ def test_verify_counts_identity_failures_and_names_them(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "krawtchouk_identity_failures" in err and "bound_a_max_ratio" not in err
     record = json.loads((tmp_path / "verify.json").read_text())["records"][0]
-    assert record == {"n": 4, "metric": "krawtchouk_identity_failures", "value": 1 + 2 + 3 + 4}
+    assert record == {"n": 4, "r": None, "q": None, "metric": "krawtchouk_identity_failures",
+                      "value": 1 + 2 + 3 + 4, "witness": None}
+
+
+def test_verify_reports_an_undrawn_property_as_null(tmp_path, capsys):
+    # one trial at seed 1 draws no triangle case (it needs b as long as a)
+    assert main(["verify", "--n", "6", "--trials", "1", "--seed", "1",
+                 "--out", str(tmp_path), "--format", "json"]) == 0
+    records = strict_json((tmp_path / "verify.json").read_text())["records"]
+    [rec] = [rec for rec in records if rec["metric"] == "variation_worst_slack"]
+    assert rec["witness"]["triangle"] is None
+    assert rec["value"] == min(v for v in rec["witness"].values() if v is not None)
 
 
 def test_verify_names_a_broken_antipodal_identity(tmp_path, capsys, monkeypatch):
@@ -117,6 +138,21 @@ def test_kraw_table_export(tmp_path, capsys):
         text = fh.read()
     assert text.splitlines()[0] == "n,k,x,numerator,denominator,float"
     assert "4,2,2,-1,3,-0.3333333333333333" in text
+
+
+def test_kraw_table_at_n_2_has_no_c_hat(tmp_path, capsys):
+    assert main(["kraw-table", "--n", "2", "--out", str(tmp_path), "--format", "json"]) == 0
+    records = strict_json((tmp_path / "kraw-scans.json").read_text())["records"]
+    assert {rec["metric"]: rec["witness"] for rec in records} == {
+        "bound_a_max_ratio": {"argmax": [1, 1]}, "C_b": {"argmax": [1, 1]},
+        "C_c": {"argmax": [1, 1]}, "c_hat": {"argmin": None}}
+    assert records[-1]["value"] is None
+
+
+@pytest.mark.parametrize("c_hat,code", [(None, 0), (0.5, 0), (0.0, 1), (-0.5, 1)])
+def test_kraw_table_fails_only_a_nonpositive_c_hat(tmp_path, capsys, monkeypatch, c_hat, code):
+    monkeypatch.setattr(cli, "estimate_exp_constant", lambda n_max: (c_hat, {"argmin": None}))
+    assert main(["kraw-table", "--n", "4", "--out", str(tmp_path), "--format", "json"]) == code
 
 
 def test_parity_scan_and_phi_psi(tmp_path, capsys):
@@ -269,7 +305,46 @@ def test_counterexample_corollary_reads_alpha(tmp_path, capsys):
     assert report["parameters"]["alpha"] == 0.25
     skipped, *ratios = report["records"]
     assert skipped["n"] == 2 and skipped["metric"] == "corollary_skipped"
+    assert skipped["value"] is None
     assert [rec["metric"] for rec in ratios] == ["corollary_ratio"] * 2
     for rec in ratios:
         assert rec["witness"]["b_n"] == rec["n"] ** 0.25
         assert rec["witness"]["satisfied"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "4", "--trials", "3"],
+    ["verify", "--n", "6", "--trials", "1", "--seed", "1"],
+    ["kraw-table", "--n", "2"],
+    ["kraw-table", "--n", "3,6"],
+    ["counterexample", "--kind", "all-ones", "--n", "3", "--r", "1,2"],
+    ["counterexample", "--kind", "truncated", "--n", "5", "--r", "2"],
+    ["counterexample", "--kind", "corollary", "--n", "2"],
+    ["counterexample", "--kind", "corollary", "--n", "2,16", "--r", "1,3"],
+    ["parity-scan", "--n", "5", "--r", "2"],
+    ["phi-psi", "--n", "2,5"],
+    ["half-spectrum", "--n", "4", "--r", "2", "--trials", "2"],
+], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
+def test_every_command_writes_strict_records(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path), "--format", "both"]) == 0
+    [path] = tmp_path.glob("*.json")
+    records = strict_json(path.read_text())["records"]
+    assert records and all(list(rec) == KEYS for rec in records)
+    with open(path.with_suffix(".csv"), newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        assert (row[5] == "") == (rec["value"] is None)
+        assert strict_json(row[6]) == rec["witness"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("planted", [record(2, "phi_max", math.nan),
+                                     record(2, "phi_max", 0.0, {"per_level": [math.inf]})],
+                         ids=["value", "witness"])
+def test_non_finite_record_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, fmt, planted):
+    monkeypatch.setattr(cli, "phi_scan", lambda n: planted)
+    out = tmp_path / "out"
+    assert main(["phi-psi", "--n", "2", "--out", str(out), "--format", fmt]) == 2
+    assert "JSON compliant" in capsys.readouterr().err
+    assert not list(out.iterdir())

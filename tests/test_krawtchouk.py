@@ -78,27 +78,34 @@ def test_float_table_matches_exact():
 
 
 def test_bound_scan_a():
-    scan = bound_scan_a(2)
-    assert scan["exact"] == 2
-    assert scan["argmax"] in ((1, 1), (1, 2), (2, 1))
+    value, witness = bound_scan_a(2)
+    assert value == 2
+    assert witness["argmax"] in ((1, 1), (1, 2), (2, 1))
     for n in (5, 10, 16):
-        assert bound_scan_a(n)["exact"] <= 2
+        assert bound_scan_a(n)[0] <= 2
 
 
 def test_bound_scan_b_c_finite():
     seen = []
     for n in range(4, 17):
-        scan = bound_scan_b_c(n)
-        assert math.isfinite(scan["C_b"]) and math.isfinite(scan["C_c"])
-        seen.append(max(scan["C_b"], scan["C_c"]))
+        (c_b, _), (c_c, _) = bound_scan_b_c(n)
+        assert math.isfinite(c_b) and math.isfinite(c_c)
+        seen.append(max(c_b, c_c))
     assert max(seen) < math.inf
 
 
+def test_bound_scans_at_n_2():
+    # C_b's one quadrant entry, kappa^(2)_1(1) = 0, still names its argmax;
+    # no entry constrains c, so c_hat does not exist
+    assert bound_scan_b_c(2) == ((0.0, {"argmax": (1, 1)}), (1.0, {"argmax": (1, 1)}))
+    assert estimate_exp_constant(2) == (None, {"argmin": None})
+
+
 def test_estimate_exp_constant():
-    est = estimate_exp_constant(16)
-    assert est["value"] > 0
+    value, witness = estimate_exp_constant(16)
+    assert value > 0
     # n=2 contributes nothing: its only quadrant entry kappa^(2)_1(1) = 0 is skipped
-    assert est["argmin"][0] > 2
+    assert witness["argmin"][0] > 2
 
 
 def test_export_csv(tmp_path):
