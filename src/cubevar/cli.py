@@ -76,11 +76,18 @@ def _cube_config(args) -> ExperimentConfig:
 
 
 def _emit(report: ExperimentReport, out_dir, fmt: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    """Write the report in `fmt` under `out_dir` and print its records.  Both
+    formats are serialized before the directory is made, so a report refused
+    for an inf or NaN (ValueError) leaves nothing behind."""
+    texts = {}
     if fmt in ("json", "both"):
-        report.write_json(os.path.join(out_dir, f"{report.name}.json"))
+        texts["json"] = report.to_json() + "\n"
     if fmt in ("csv", "both"):
-        report.write_csv(os.path.join(out_dir, f"{report.name}.csv"))
+        texts["csv"] = report.to_csv()
+    os.makedirs(out_dir, exist_ok=True)
+    for ext, text in texts.items():
+        with open(os.path.join(out_dir, f"{report.name}.{ext}"), "w", newline="") as fh:
+            fh.write(text)
     for rec in report.records:
         print(f"{report.name}: n={rec['n']} r={rec['r']} q={rec['q']} {rec['metric']}={rec['value']}")
 

@@ -28,6 +28,11 @@ MAX_DIM = 26
 #: row: BLOCK real points, or BLOCK / 2 complex ones.
 BLOCK = 1 << 14
 
+#: Values per chunk of `CubeFunction.norm`: a power of two and at least
+#: numpy's 128-value pairwise-summation block, so chunk sums combined in a
+#: binary tree give the bits of one numpy sum over all 2^n values.
+NORM_CHUNK = 1 << 16
+
 
 def check_dim(n: int) -> None:
     """Reject a dimension whose 2^n-point cube functions are not supported."""
@@ -71,11 +76,25 @@ class CubeFunction:
             )
 
     def norm(self, p: float = 2) -> float:
-        a = np.abs(self.values)
-        if p == math.inf:
-            return float(a.max())
-        a **= p                          # the ufunc of a**p, without a second temporary
-        return float(a.sum() ** (1.0 / p))
+        """(sum |v|^p)^{1/p} over the values, or max |v| at p = inf.
+
+        |v|^p is formed and summed `NORM_CHUNK` values at a time in one
+        buffer, and the chunk sums are combined pairwise, as numpy sums one
+        array of 2^n values, so the bits are those of the whole-array
+        expression and no 2^n temporary is made."""
+        top = p == math.inf
+        buf = np.empty(min(NORM_CHUNK, self.values.size))
+        parts = []
+        for start in range(0, self.values.size, buf.size):
+            a = np.abs(self.values[start:start + buf.size], out=buf)
+            if not top:
+                a **= p                  # the ufunc of a**p, without a second temporary
+            parts.append(a.max() if top else a.sum())
+        if top:
+            return float(np.max(parts))
+        while len(parts) > 1:
+            parts = [a + b for a, b in zip(parts[0::2], parts[1::2])]
+        return float(parts[0] ** (1.0 / p))
 
 
 def character(n: int, y: int) -> CubeFunction:

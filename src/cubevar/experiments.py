@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import SPECTRAL, CubeFunction, character, popcounts
 from .krawtchouk import build_table
-from .operators import _kraw_rows, _radial_multiplier_blocks
+from .operators import _check_memory, _kraw_rows, _radial_multiplier_blocks
 from .variation import _check_order, vr_pointwise_values
 
 CSV_HEADER = ["experiment", "n", "r", "q", "metric", "value", "witness"]
@@ -273,9 +273,13 @@ def random_halfspectrum_function(n: int, rng) -> CubeFunction:
 def proposition_halfspectrum_scan(n: int, r_list, trials: int, seed: int) -> list:
     """Random-search lower bound for the half-spectrum operator quantity, one
     record per order in r_list; every order is evaluated on the same draws,
-    and each recorded maximum is a lower bound only."""
+    and each recorded maximum is a lower bound only.  The engine's memory
+    estimate for a draw (its n//2 + 1 complex level projections on the half
+    cube, beside f and the popcounts) is checked before the first draw, so
+    a refusal draws nothing."""
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_memory(n, n // 2 + 1, 1 << (n - 1), 16, 1)      # complex128 values
     rng = np.random.default_rng(seed)
     best = [0.0] * len(r_list)
     for _ in range(trials):

@@ -63,6 +63,43 @@ def spherical_mean_direct(f: CubeFunction, k: int, method: str = "auto") -> Cube
     raise ValueError(f"unknown method {method!r}")
 
 
+def _check_memory(n: int, count: int, points: int, itemsize: int, copies: int) -> None:
+    """Raise MemoryError when a (count, points) result of `itemsize`-byte
+    values, `copies` 2^n arrays of them (f, and a physical f's spectrum
+    copy) and the popcounts (1 B a point) would together exceed
+    `PHYSICAL_MEMORY`: the engine's estimate, also made before an input is
+    drawn."""
+    size = 1 << n
+    need = (count * points + copies * size) * itemsize + size
+    if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
+        raise MemoryError(f"{count} x {points} values and f need {need} bytes, more than the "
+                          f"{PHYSICAL_MEMORY} bytes of physical memory")
+
+
+def _signed_character(values: np.ndarray):
+    """y when `values` are c chi_y with c = values[0] finite and non-zero,
+    else None.  From the bottom bit up, the block [2^i, 2^{i+1}) must equal
+    + or - the block [0, 2^i), and its sign is bit i of y; the blocks are
+    compared `core.BLOCK` values at a time, so no 2^n temporary is made."""
+    c = values[0]
+    if c == 0 or not np.isfinite(c):
+        return None
+    y, half = 0, 1
+    buf = np.empty(min(core.BLOCK, len(values) >> 1), dtype=values.dtype)
+    while half < len(values):
+        low, high = values[:half], values[half:2 * half]
+        odd = bool(high[0] == -low[0])       # c != 0: high[0] cannot equal both
+        for start in range(0, half, len(buf)):
+            lo, hi = low[start:start + len(buf)], high[start:start + len(buf)]
+            if odd:
+                lo = np.negative(lo, out=buf[:len(lo)])
+            if not np.array_equal(hi, lo):
+                return None
+        y |= odd * half
+        half <<= 1
+    return y
+
+
 def _radial_terms(f: CubeFunction, rows, points=None):
     """The spectrum of f, split the way `rows` are cheapest to apply, on the
     first `points` points of the cube.
@@ -78,10 +115,15 @@ def _radial_terms(f: CubeFunction, rows, points=None):
     one inverse transform, coef is None and terms is the (m, points) result
     itself, float64 when f.values are.  A physical-side f with a single
     non-zero level is its own level projection: terms is a view of f itself,
-    with no transform back.  A spectral-side f is read where it is, not
-    copied.  When the (levels or rows, points) result, f, the spectrum copy
-    of a physical f and the popcounts would together exceed
-    `PHYSICAL_MEMORY`, MemoryError is raised before the result is allocated.
+    with no transform back.  With more than one row, a physical f = c chi_y
+    (c finite and non-zero; every witness) is confirmed blockwise
+    (`_signed_character`) and takes that route with coef the (m, 1) column
+    of level |y|, before any spectrum, transform or popcount is made; any
+    other f has its levels read off its spectrum.  A spectral-side f is
+    read where it is, not copied.  When the (levels or rows, points)
+    result, f, the spectrum copy of a physical f and the popcounts would
+    together exceed `PHYSICAL_MEMORY`, MemoryError is raised before the
+    result is allocated (`_check_memory`).
     """
     n = f.n
     rows = np.asarray(rows, dtype=np.float64)
@@ -93,6 +135,9 @@ def _radial_terms(f: CubeFunction, rows, points=None):
         raise ValueError(f"{points} points: expected 2^{n} or 2^{n - 1}")
     fold = points < size
     if f.side == PHYSICAL:
+        y = _signed_character(f.values) if len(rows) > 1 else None
+        if y is not None:
+            return rows[:, [y.bit_count()]], f.values[None, :points]
         spec = fwht(f.values.copy())
         scale = 2.0 ** -n                # both transforms' 2^{-n/2}, folded in
     else:
@@ -108,12 +153,7 @@ def _radial_terms(f: CubeFunction, rows, points=None):
         return rows[:, levels], f.values[None, :points]
     rows = rows * scale
     count = min(len(levels), len(rows))
-    # the result, f, the spectrum copy of a physical f and the popcounts (1 B a point)
-    need = count * points * spec.itemsize + f.values.nbytes + size
-    need += spec.nbytes if f.side == PHYSICAL else 0
-    if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
-        raise MemoryError(f"{count} x {points} values and f need {need} bytes, more than the "
-                          f"{PHYSICAL_MEMORY} bytes of physical memory")
+    _check_memory(n, count, points, spec.itemsize, 2 if f.side == PHYSICAL else 1)
     if len(levels) < len(rows):
         proj = np.zeros((len(levels), points), dtype=spec.dtype)
         for p, w in zip(proj, levels):
@@ -155,14 +195,20 @@ def _radial_multiplier_blocks(f: CubeFunction, rows, points=None):
     than there are rows (every character, every spectral-side half-spectrum
     draw), each tile is formed from the level projections as it is asked for,
     into one buffer that every tile reuses, so the (m, points) result is
-    never held; otherwise the tiles are views of it.
+    never held; otherwise the tiles are views of it.  With one level (every
+    character) a tile is the broadcast product of the level's (m, 1) column
+    and its (1, width) block, one `np.multiply` and no BLAS call.  Each entry
+    is one product, so it has the bits of the matrix product, but for the
+    sign of a zero product (BLAS adds it to +0), which no jump |a_i - a_j|
+    of the pointwise DP sees.
     """
     coef, terms = _radial_terms(f, rows, points)
     width = min(terms.shape[1], core.BLOCK * 8 // terms.itemsize)
     tile = None if coef is None else np.empty((len(coef), width), dtype=terms.dtype)
+    form = np.matmul if coef is None or coef.shape[1] > 1 else np.multiply
     for start in range(0, terms.shape[1], width):
         block = terms[:, start:start + width]
-        yield block if coef is None else np.matmul(coef, block, out=tile[:, :block.shape[1]])
+        yield block if coef is None else form(coef, block, out=tile[:, :block.shape[1]])
 
 
 def _kraw_rows(n: int, radii) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cubevar import cli, operators
+from cubevar import cli, experiments, operators
 from cubevar.checks import CHECKS
 from cubevar.core import MAX_DIM
 from cubevar.cli import main, parse_config
@@ -288,6 +288,24 @@ def test_preflight_counts_the_input(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def test_half_spectrum_refusal_draws_nothing(tmp_path, capsys, monkeypatch):
+    # the budget of test_preflight_counts_the_input, with a draw that raises:
+    # the estimate is made before the first draw
+    def draw(n, rng):
+        raise AssertionError("drew an input")
+
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 9 * 2**15 * 16)
+    monkeypatch.setattr(experiments, "random_halfspectrum_function", draw)
+    code = main(["half-spectrum", "--n", "16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "5832704 bytes, more than the 4718592 bytes" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    # a budget equal to the estimate lets the same command reach the draw
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 5832704)
+    with pytest.raises(AssertionError, match="drew an input"):
+        main(["half-spectrum", "--n", "16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
+
+
 def test_kraw_table_bad_n_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["kraw-table", "--n", "4,65", "--out", str(out)]) == 2
@@ -347,4 +365,4 @@ def test_non_finite_record_exits_2_and_writes_nothing(tmp_path, capsys, monkeypa
     out = tmp_path / "out"
     assert main(["phi-psi", "--n", "2", "--out", str(out), "--format", fmt]) == 2
     assert "JSON compliant" in capsys.readouterr().err
-    assert not list(out.iterdir())
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -319,11 +320,12 @@ def test_folded_engine_holds_half_the_projections(monkeypatch):
 
 
 def test_witness_level_detection_holds_one_copy_of_f():
-    # a single-level physical f on the half cube: its spectrum (8 B/pt), the
-    # popcounts (1 B/pt) and the nonzero mask (1 B/pt), with no 2^n FWHT
-    # scratch or popcount index array beside them
+    # a single-level physical f that is no signed character (two characters
+    # of one weight) on the half cube: its spectrum (8 B/pt), the popcounts
+    # (1 B/pt) and the nonzero mask (1 B/pt), with no 2^n FWHT scratch or
+    # popcount index array beside them
     n = 18
-    f = character(n, 2**17 - 1)
+    f = CubeFunction(n, character(n, 2**17 - 1).values + character(n, 2**18 - 2).values)
     rows = operators._kraw_rows(n, range(n + 1))
     popcounts.cache_clear()
     tracemalloc.start()
@@ -334,6 +336,98 @@ def test_witness_level_detection_holds_one_copy_of_f():
         tracemalloc.stop()
     assert coef.shape == (n + 1, 1) and np.shares_memory(terms, f.values)
     assert peak <= 10 * (1 << n) + core.FWHT_SCRATCH * 8 + 65536
+
+
+def _count_fwht(monkeypatch):
+    calls = []
+    fwht = operators.fwht
+    monkeypatch.setattr(operators, "fwht", lambda values: calls.append(1) or fwht(values))
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 14])
+def test_signed_characters_skip_the_spectrum(n, monkeypatch):
+    # f = c chi_y is confirmed blockwise and read in place: no transform, and
+    # the bits of the transform route, which finds the same single level.
+    # At even n the spectral-side input c 2^{n/2} e_y is exact, and its
+    # projection route gives the same bits too; at odd n, a few ulp apart
+    rows = build_table(n).float
+    y_random = int(np.random.default_rng(n).integers(1 << n))
+    for y in {0, (1 << n) - 1, (1 << (n - 1)) - 1, y_random}:
+        for c in (1, -1, 2, 0.75, 1 - 2j):
+            f = CubeFunction(n, c * character(n, y).values)
+            calls = _count_fwht(monkeypatch)
+            for block, points in itertools.product((7, core.BLOCK), (1 << n, 1 << (n - 1))):
+                with monkeypatch.context() as m:
+                    m.setattr(core, "BLOCK", block)    # 7: several slabs per block
+                    coef, terms = operators._radial_terms(f, rows, points)
+                assert coef.shape == (n + 1, 1) and np.array_equal(coef[:, 0], rows[:, y.bit_count()])
+                assert np.shares_memory(terms, f.values) and terms.shape == (1, points)
+            assert not calls
+            spec = np.zeros(1 << n, dtype=f.values.dtype)
+            spec[y] = c * 2 ** (n / 2)
+            for radii in (range(n + 1), [0, 1, n]):
+                ratios = variation_norm_ratio(f, radii, [1.0, 2.0, 3.0])
+                assert not calls
+                with monkeypatch.context() as m:
+                    m.setattr(operators, "_signed_character", lambda values: None)
+                    assert variation_norm_ratio(f, radii, [1.0, 2.0, 3.0]) == ratios
+                    assert calls
+                spectral = variation_norm_ratio(CubeFunction(n, spec, SPECTRAL), radii,
+                                                [1.0, 2.0, 3.0])
+                if n % 2 == 0:
+                    assert spectral == ratios
+                assert np.allclose(spectral, ratios, rtol=8 * np.finfo(float).eps, atol=0)
+                calls.clear()
+
+
+def test_other_inputs_take_the_transform_route(monkeypatch):
+    # one flipped point, two characters of one weight, a NaN, f(0) = 0 and
+    # an infinite c are not confirmed; they read their levels off a spectrum
+    n = 9
+    rows = build_table(n).float
+    chi = character(n, 0b101100111).values
+    flipped = chi.copy()
+    flipped[300] *= -1
+    nan = chi.copy()
+    nan[17] = math.nan
+    for values in (flipped, chi + character(n, 0b011100111).values, nan,
+                   chi * np.arange(1 << n), chi * math.inf):
+        assert operators._signed_character(values) is None
+        calls = _count_fwht(monkeypatch)
+        with np.errstate(invalid="ignore"):     # inf - inf in the transform
+            operators._radial_terms(CubeFunction(n, values), rows)
+        assert calls        # the forward transform, then one per projection or row
+    # flipping any one point of any block is seen, with one-value slabs too
+    monkeypatch.setattr(core, "BLOCK", 1)
+    for x in range(1 << n):
+        flipped = chi.copy()
+        flipped[x] *= -1
+        assert operators._signed_character(flipped) is None
+    assert operators._signed_character(-2.5 * chi) == 0b101100111
+
+
+def test_one_level_tiles_are_products(monkeypatch):
+    # a one-column coef forms each tile by one broadcast multiply, with no
+    # call into matmul: the bits of the matrix product it replaces, but for
+    # the sign of a zero product (kappa_5(9) = 0 at n = 10; 0 * -1 is -0
+    # here, +0 in BLAS), which adding +0.0 clears
+    monkeypatch.setattr(core, "BLOCK", 7)
+    n = 10
+    rng = np.random.default_rng(25)
+    rows = build_table(n).float
+    one_level = np.where(popcounts(n) == 4, rng.standard_normal(1 << n), 0.0)
+    for f in (character(n, 2**9 - 1), CubeFunction(n, character(n, 7).values * (1 - 2j)),
+              CubeFunction(n, one_level, SPECTRAL), CubeFunction(n, one_level * (2 + 1j), SPECTRAL)):
+        coef, terms = operators._radial_terms(f, rows)
+        assert coef.shape == (n + 1, 1)
+        matmul = np.matmul
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_radial_terms", lambda *args: (coef, terms))
+            m.setattr(np, "matmul", None)
+            blocks = [b.copy() for b in operators._radial_multiplier_blocks(f, rows)]
+        tiles, product = np.hstack(blocks), matmul(coef, terms)
+        assert (tiles + 0.0).tobytes() == (product + 0.0).tobytes()
 
 
 def test_noise_binomial_weights_sum_to_one():
