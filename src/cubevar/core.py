@@ -28,10 +28,20 @@ MAX_DIM = 26
 #: row: BLOCK real points, or BLOCK / 2 complex ones.
 BLOCK = 1 << 14
 
-#: Values per chunk of `CubeFunction.norm`: a power of two and at least
-#: numpy's 128-value pairwise-summation block, so chunk sums combined in a
-#: binary tree give the bits of one numpy sum over all 2^n values.
-NORM_CHUNK = 1 << 16
+#: Values per chunk of a chunked sum (`CubeFunction.norm`, and the V_r
+#: reduction of `experiments.variation_norm_ratio`), or all the values when
+#: fewer: a power of two and at least numpy's 128-value pairwise-summation
+#: block, so chunk sums combined by `pairwise_total` give the bits of one
+#: numpy sum over all the values.  It does not depend on `BLOCK`.
+CHUNK = 1 << 14
+
+
+def pairwise_total(parts):
+    """The sum of a power-of-two count of chunk sums over equal chunks,
+    combined in a binary tree, the order in which numpy sums one array."""
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[0::2], parts[1::2])]
+    return parts[0]
 
 
 def check_dim(n: int) -> None:
@@ -78,12 +88,11 @@ class CubeFunction:
     def norm(self, p: float = 2) -> float:
         """(sum |v|^p)^{1/p} over the values, or max |v| at p = inf.
 
-        |v|^p is formed and summed `NORM_CHUNK` values at a time in one
-        buffer, and the chunk sums are combined pairwise, as numpy sums one
-        array of 2^n values, so the bits are those of the whole-array
-        expression and no 2^n temporary is made."""
+        |v|^p is formed and summed `CHUNK` values at a time in one buffer,
+        and the chunk sums are combined by `pairwise_total`, so the bits are
+        those of the whole-array expression and no 2^n temporary is made."""
         top = p == math.inf
-        buf = np.empty(min(NORM_CHUNK, self.values.size))
+        buf = np.empty(min(CHUNK, self.values.size))
         parts = []
         for start in range(0, self.values.size, buf.size):
             a = np.abs(self.values[start:start + buf.size], out=buf)
@@ -92,9 +101,7 @@ class CubeFunction:
             parts.append(a.max() if top else a.sum())
         if top:
             return float(np.max(parts))
-        while len(parts) > 1:
-            parts = [a + b for a, b in zip(parts[0::2], parts[1::2])]
-        return float(parts[0] ** (1.0 / p))
+        return float(pairwise_total(parts) ** (1.0 / p))
 
 
 def character(n: int, y: int) -> CubeFunction:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SPECTRAL, CubeFunction, character, popcounts
+from .core import CHUNK, SPECTRAL, CubeFunction, character, pairwise_total, popcounts
 from .krawtchouk import build_table
 from .operators import _check_memory, _kraw_rows, _radial_multiplier_blocks
 from .variation import _check_order, vr_pointwise_values
@@ -95,23 +95,14 @@ class ExperimentReport:
             ])
         return out.getvalue()
 
-    def write_json(self, path) -> None:
-        text = self.to_json() + "\n"
-        with open(path, "w") as fh:
-            fh.write(text)
-
-    def write_csv(self, path) -> None:
-        text = self.to_csv()
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
 
 
-#: Points per reduction chunk of `variation_norm_ratio` (or all reduced
-#: points when fewer): a power of two and at least numpy's 128-value
-#: pairwise-summation block, so chunk sums combined in a binary tree give the
-#: bits of one numpy sum over the reduced points.  It does not depend on
-#: `core.BLOCK`.
-CHUNK = 1 << 14
+def _reduced_points(n: int, radii) -> int:
+    """The points `variation_norm_ratio` reduces for these radii: 2^{n-1},
+    the half cube, when they pair up antipodally, radii[i] + radii[m-1-i] = n,
+    else 2^n."""
+    radii = list(radii)
+    return 1 << (n - all(a + b == n for a, b in zip(radii, reversed(radii))))
 
 
 def variation_norm_ratio(f: CubeFunction, radii, r):
@@ -121,8 +112,9 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
     `overwrite`), and the pointwise values are squared and summed a chunk of
     `CHUNK` points at a time, so neither the (|radii|, 2^n) stack, nor a DP
     table over every point, nor a 2^n row of pointwise values is held; one
-    tile buffer serves every tile.  The chunk sums are combined pairwise, as
-    numpy sums one row, so the output bits do not depend on the block width.
+    tile buffer serves every tile.  The chunk sums are combined by
+    `core.pairwise_total`, as numpy sums one row, so the output bits do not
+    depend on the block width.
 
     When the radii pair up antipodally, radii[i] + radii[m-1-i] = n (the full
     range; either parity family at even n), only the half cube x < 2^{n-1}
@@ -136,8 +128,8 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
     norm_f = f.norm(2)
     if norm_f == 0.0:
         raise ValueError("ratio undefined for the zero function")
-    half = all(a + b == f.n for a, b in zip(radii, reversed(radii)))
-    points = 1 << (f.n - half)
+    points = _reduced_points(f.n, radii)
+    half = points < 1 << f.n
     # _kraw_rows raises on no radii or one outside 0..n
     tiles = _radial_multiplier_blocks(f, _kraw_rows(f.n, radii), points)
     orders = np.ravel(r)
@@ -153,9 +145,7 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
                 sums.append(np.square(buf, out=buf).sum(axis=1))
                 fill = 0
         del v            # free this tile's values before the next tile's DP runs
-    while len(sums) > 1:
-        sums = [a + b for a, b in zip(sums[0::2], sums[1::2])]
-    ratios = [float(np.sqrt(2 * s if half else s)) / norm_f for s in sums[0]]
+    ratios = [float(np.sqrt(2 * s if half else s)) / norm_f for s in pairwise_total(sums)]
     return ratios if np.ndim(r) else ratios[0]
 
 
@@ -259,13 +249,19 @@ def parity_character_scan(n: int, r: float, q: int) -> dict:
     return record(n, "parity_character_max", top, {"weight": weight, "per_level": values}, r=r, q=q)
 
 
+def halfspectrum_levels(n: int) -> range:
+    """The Walsh levels |y| <= n/2 that a half-spectrum draw fills."""
+    return range(n // 2 + 1)
+
+
 def random_halfspectrum_function(n: int, rng) -> CubeFunction:
     """Unit-norm function with independent complex Gaussian coefficients on
-    the frequencies |y| <= n/2 and exact zeros elsewhere, on the spectral side."""
+    the frequencies of `halfspectrum_levels` and exact zeros elsewhere, on
+    the spectral side."""
     size = 1 << n
     pc = popcounts(n)
     spec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    spec[pc > n / 2] = 0.0
+    spec[pc >= len(halfspectrum_levels(n))] = 0.0
     spec /= np.sqrt((np.abs(spec) ** 2).sum())
     return CubeFunction(n, spec, SPECTRAL)
 
@@ -274,17 +270,19 @@ def proposition_halfspectrum_scan(n: int, r_list, trials: int, seed: int) -> lis
     """Random-search lower bound for the half-spectrum operator quantity, one
     record per order in r_list; every order is evaluated on the same draws,
     and each recorded maximum is a lower bound only.  The engine's memory
-    estimate for a draw (its n//2 + 1 complex level projections on the half
-    cube, beside f and the popcounts) is checked before the first draw, so
-    a refusal draws nothing."""
+    estimate for a draw (complex, spectral, filling `halfspectrum_levels`,
+    on the points `variation_norm_ratio` reduces for these radii) is checked
+    before the first draw, so a refusal draws nothing."""
     if n < 2:
         raise ValueError("need n >= 2")
-    _check_memory(n, n // 2 + 1, 1 << (n - 1), 16, 1)      # complex128 values
+    radii = range(n + 1)
+    _check_memory(n, len(radii), halfspectrum_levels(n), _reduced_points(n, radii),
+                  np.complex128, SPECTRAL)
     rng = np.random.default_rng(seed)
     best = [0.0] * len(r_list)
     for _ in range(trials):
         f = random_halfspectrum_function(n, rng)
-        ratios = variation_norm_ratio(f, range(n + 1), r_list)
+        ratios = variation_norm_ratio(f, radii, r_list)
         best = [max(b, ratio) for b, ratio in zip(best, ratios)]
     return [record(n, "halfspectrum_random_max", value,
                    {"trials": trials, "seed": seed, "kind": "lower_bound"}, r=r)

@@ -63,14 +63,15 @@ def spherical_mean_direct(f: CubeFunction, k: int, method: str = "auto") -> Cube
     raise ValueError(f"unknown method {method!r}")
 
 
-def _check_memory(n: int, count: int, points: int, itemsize: int, copies: int) -> None:
-    """Raise MemoryError when a (count, points) result of `itemsize`-byte
-    values, `copies` 2^n arrays of them (f, and a physical f's spectrum
-    copy) and the popcounts (1 B a point) would together exceed
-    `PHYSICAL_MEMORY`: the engine's estimate, also made before an input is
-    drawn."""
+def _check_memory(n: int, m: int, levels, points: int, dtype, side: str) -> None:
+    """Raise MemoryError when `_radial_terms` for m rows, on `points` points,
+    of an f with `dtype` values on `side` and non-zero Walsh `levels` would
+    exceed `PHYSICAL_MEMORY`: its (min(levels, m), points) result, f, the
+    spectrum copy of a physical f and the popcounts (1 B a point).  The
+    engine's estimate, also made before an input is drawn."""
     size = 1 << n
-    need = (count * points + copies * size) * itemsize + size
+    count, copies = min(len(levels), m), 2 if side == PHYSICAL else 1
+    need = (count * points + copies * size) * np.dtype(dtype).itemsize + size
     if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
         raise MemoryError(f"{count} x {points} values and f need {need} bytes, more than the "
                           f"{PHYSICAL_MEMORY} bytes of physical memory")
@@ -152,8 +153,7 @@ def _radial_terms(f: CubeFunction, rows, points=None):
     if len(levels) == 1 < len(rows) and f.side == PHYSICAL:
         return rows[:, levels], f.values[None, :points]
     rows = rows * scale
-    count = min(len(levels), len(rows))
-    _check_memory(n, count, points, spec.itemsize, 2 if f.side == PHYSICAL else 1)
+    _check_memory(n, len(rows), levels, points, spec.dtype, f.side)
     if len(levels) < len(rows):
         proj = np.zeros((len(levels), points), dtype=spec.dtype)
         for p, w in zip(proj, levels):

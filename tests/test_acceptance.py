@@ -147,8 +147,8 @@ def test_10_parity_vs_full_blowup(tmp_path):
         for q in (0, 1)
         for n in range(4, 25)
     )
-    report.write_json(tmp_path / "parity-vs-full.json")
-    report.write_csv(tmp_path / "parity-vs-full.csv")
+    (tmp_path / "parity-vs-full.json").write_text(report.to_json() + "\n")
+    (tmp_path / "parity-vs-full.csv").write_text(report.to_csv(), newline="")
     cap0 = max(parity_max[0].values())
     cap1 = max(parity_max[1].values())
     report_line(

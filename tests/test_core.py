@@ -47,7 +47,7 @@ def test_popcounts_built_in_its_output_alone():
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_norm_bits_and_one_temporary(complex_):
-    # |v|^p is summed NORM_CHUNK values at a time and the chunk sums are
+    # |v|^p is summed CHUNK values at a time and the chunk sums are
     # combined pairwise: the bits of the whole-array expression, with one
     # chunk buffer in place of a 2^n temporary
     rng = np.random.default_rng(5)

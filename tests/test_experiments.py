@@ -27,6 +27,7 @@ from cubevar import (
     variation_norm_ratio,
     vr_pointwise_values,
 )
+from cubevar.cli import _emit
 from cubevar.experiments import dyadic_radii, parity_radii, random_halfspectrum_function
 from variation_oracles import vr_exact
 
@@ -48,9 +49,8 @@ def test_report_serialization(tmp_path):
     report.add({"n": 3, "r": 2.0, "q": None, "metric": "x", "value": 1.5, "witness": {"k": 1}})
     j = json.loads(report.to_json())
     assert j["name"] == "demo" and len(j["records"]) == 1
-    path = tmp_path / "demo.csv"
-    report.write_csv(path)
-    with open(path) as fh:
+    _emit(report, tmp_path, "csv")
+    with open(tmp_path / "demo.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["experiment", "n", "r", "q", "metric", "value", "witness"]
     assert rows[1][0] == "demo" and rows[1][4] == "x"
@@ -384,6 +384,25 @@ def test_halfspectrum_scan_consistency():
     char_value = character_variation(n, n // 2, range(n + 1), r)
     pipeline = variation_norm_ratio(character(n, (1 << (n // 2)) - 1), range(n + 1), r)
     assert pipeline == pytest.approx(char_value, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_halfspectrum_preflight_matches_engine(monkeypatch, n):
+    # the scan's estimate before the first draw is the one the engine makes
+    # for that draw: same rows, levels, points, dtype and side
+    from cubevar import operators
+
+    calls = []
+    check = operators._check_memory
+
+    def spy(n, m, levels, points, dtype, side):
+        calls.append((n, m, [int(w) for w in levels], points, np.dtype(dtype), side))
+        check(n, m, levels, points, dtype, side)
+
+    monkeypatch.setattr(operators, "_check_memory", spy)
+    monkeypatch.setattr(experiments, "_check_memory", spy)
+    proposition_halfspectrum_scan(n, [2.0], trials=1, seed=3)
+    assert len(calls) == 2 and calls[0] == calls[1]
 
 
 def test_constant_function_ratio_zero():
