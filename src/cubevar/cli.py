@@ -112,7 +112,7 @@ def cmd_verify(args) -> int:
         res = run_check(name, **sizes[name])
         verdict = "PASS" if res["passed"] else "FAIL"
         print(f"CHECK {name} {res['value']} {res['tol']} {verdict} {res['elapsed']:.3f}s")
-        report.add(record(n, name, res["value"], res["witness"]))
+        report.records.append(record(n, name, res["value"], res["witness"]))
         if not res["passed"]:
             failed.append(name)
     _emit(report, args.out, args.format)
@@ -134,14 +134,14 @@ def cmd_kraw_table(args) -> int:
     for n in cfg.n_list:
         if n >= 2:
             exact, witness = bound_scan_a(n)
-            report.add(record(n, "bound_a_max_ratio", float(exact), witness))
+            report.records.append(record(n, "bound_a_max_ratio", float(exact), witness))
             for metric, (value, witness) in zip(("C_b", "C_c"), bound_scan_b_c(n)):
-                report.add(record(n, metric, value, witness))
+                report.records.append(record(n, metric, value, witness))
     if max(cfg.n_list) >= 2:
         # c_hat is None when no quadrant entry constrains c (n = 2)
         c_hat, witness = estimate_exp_constant(max(cfg.n_list))
         status = 1 if c_hat is not None and c_hat <= 0 else 0
-        report.add(record(max(cfg.n_list), "c_hat", c_hat, witness))
+        report.records.append(record(max(cfg.n_list), "c_hat", c_hat, witness))
     _emit(report, args.out, args.format)
     return status
 
@@ -152,11 +152,11 @@ def cmd_counterexample(args) -> int:
     report = ExperimentReport(f"counterexample-{args.kind}", asdict(cfg))
     for n in cfg.n_list:
         if args.kind == "all-ones":
-            report.extend(counterexample_all_ones(n, cfg.r_list))
+            report.records.extend(counterexample_all_ones(n, cfg.r_list))
         elif args.kind == "corollary":
-            report.extend(counterexample_corollary(n, cfg.r_list, cfg.alpha))
+            report.records.extend(counterexample_corollary(n, cfg.r_list, cfg.alpha))
         else:
-            report.extend(counterexample_truncated(n, cfg.r_list, math.sqrt(n)))
+            report.records.extend(counterexample_truncated(n, cfg.r_list, math.sqrt(n)))
     _emit(report, args.out, args.format)
     # A corollary_skipped record (no witness at this n) has no verdict.
     violated = any(not rec["witness"].get("satisfied", True) for rec in report.records)
@@ -167,8 +167,8 @@ def cmd_parity_scan(args) -> int:
     cfg = _merge_config(args)
     report = ExperimentReport("parity-scan", asdict(cfg))
     parities = (0, 1) if cfg.q is None else (cfg.q,)
-    report.extend(parity_character_scan(n, r, q)
-                  for n in cfg.n_list for r in cfg.r_list for q in parities)
+    report.records.extend(parity_character_scan(n, r, q)
+                          for n in cfg.n_list for r in cfg.r_list for q in parities)
     _emit(report, args.out, args.format)
     return 0
 
@@ -177,8 +177,8 @@ def cmd_phi_psi(args) -> int:
     cfg = _merge_config(args)
     report = ExperimentReport("phi-psi", asdict(cfg))
     for n in cfg.n_list:
-        report.add(phi_scan(n))
-        report.add(psi_scan(n))
+        report.records.append(phi_scan(n))
+        report.records.append(psi_scan(n))
     _emit(report, args.out, args.format)
     return 0
 
@@ -187,7 +187,7 @@ def cmd_half_spectrum(args) -> int:
     cfg = _cube_config(args)
     report = ExperimentReport("half-spectrum", asdict(cfg))
     for n in cfg.n_list:
-        report.extend(proposition_halfspectrum_scan(n, cfg.r_list, cfg.trials, cfg.seed))
+        report.records.extend(proposition_halfspectrum_scan(n, cfg.r_list, cfg.trials, cfg.seed))
     _emit(report, args.out, args.format)
     return 0
 

@@ -86,11 +86,13 @@ class CubeFunction:
             )
 
     def norm(self, p: float = 2) -> float:
-        """(sum |v|^p)^{1/p} over the values, or max |v| at p = inf.
+        """(sum |v|^p)^{1/p} over the values for p >= 1, or max |v| at p = inf.
 
         |v|^p is formed and summed `CHUNK` values at a time in one buffer,
         and the chunk sums are combined by `pairwise_total`, so the bits are
         those of the whole-array expression and no 2^n temporary is made."""
+        if not p >= 1:
+            raise ValueError(f"norm exponent p must be >= 1 or inf, got {p}")
         top = p == math.inf
         buf = np.empty(min(CHUNK, self.values.size))
         parts = []

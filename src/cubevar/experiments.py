@@ -61,12 +61,6 @@ class ExperimentReport:
     parameters: dict
     records: list = field(default_factory=list)
 
-    def add(self, record: dict) -> None:
-        self.records.append(record)
-
-    def extend(self, records) -> None:
-        self.records.extend(records)
-
     # Both formats raise ValueError on an inf or NaN anywhere in a record, and
     # serialize before they open the file, so a refused report writes nothing.
     def to_json(self) -> str:

@@ -21,7 +21,7 @@ from .core import PHYSICAL, CubeFunction, convolve, fwht, popcounts
 from .krawtchouk import build_table
 
 try:
-    #: Bytes of physical memory, read once: `_radial_terms` refuses a result
+    #: Bytes of physical memory, read once: the engine refuses a result
     #: that, with its inputs, would need more than this, before allocating
     #: it.  None where it is not reported.
     PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -64,11 +64,11 @@ def spherical_mean_direct(f: CubeFunction, k: int, method: str = "auto") -> Cube
 
 
 def _check_memory(n: int, m: int, levels, points: int, dtype, side: str) -> None:
-    """Raise MemoryError when `_radial_terms` for m rows, on `points` points,
-    of an f with `dtype` values on `side` and non-zero Walsh `levels` would
+    """Raise MemoryError when the engine for m rows, on `points` points, of
+    an f with `dtype` values on `side` and non-zero Walsh `levels` would
     exceed `PHYSICAL_MEMORY`: its (min(levels, m), points) result, f, the
     spectrum copy of a physical f and the popcounts (1 B a point).  The
-    engine's estimate, also made before an input is drawn."""
+    engine's one estimate, also made before an input is drawn."""
     size = 1 << n
     count, copies = min(len(levels), m), 2 if side == PHYSICAL else 1
     need = (count * points + copies * size) * np.dtype(dtype).itemsize + size
@@ -83,7 +83,7 @@ def _signed_character(values: np.ndarray):
     + or - the block [0, 2^i), and its sign is bit i of y; the blocks are
     compared `core.BLOCK` values at a time, so no 2^n temporary is made."""
     c = values[0]
-    if c == 0 or not np.isfinite(c):
+    if c == 0 or not np.isfinite(c) or values[1] not in (c, -c):     # O(1) for most f
         return None
     y, half = 0, 1
     buf = np.empty(min(core.BLOCK, len(values) >> 1), dtype=values.dtype)
@@ -111,20 +111,19 @@ def _radial_terms(f: CubeFunction, rows, points=None):
     (H_{2^n} v)(x) = (H_{2^{n-1}} (v_lo + v_hi))(x), with v_lo and v_hi the
     halves of v, and the spectral point y + 2^{n-1} has level |y| + 1.  When
     f has fewer non-zero levels than there are rows, each non-zero level
-    projection is inverse-transformed once and the result is `coef @ terms`,
-    with coef the (m, levels) columns of the rows; otherwise each row takes
-    one inverse transform, coef is None and terms is the (m, points) result
-    itself, float64 when f.values are.  A physical-side f with a single
-    non-zero level is its own level projection: terms is a view of f itself,
-    with no transform back.  With more than one row, a physical f = c chi_y
-    (c finite and non-zero; every witness) is confirmed blockwise
-    (`_signed_character`) and takes that route with coef the (m, 1) column
+    projection is inverse-transformed once and the result is coef x terms
+    (`_product`), with coef the (m, levels) columns of the rows; otherwise
+    each row takes one inverse transform, coef is None and terms is the
+    (m, points) result itself, float64 when f.values are.  A physical-side f
+    with a single non-zero level is its own level projection: terms is a
+    view of f itself, with no transform back.  A physical f = c chi_y (c
+    finite and non-zero; every witness) is confirmed blockwise
+    (`_signed_character`) and takes that route, with coef the (m, 1) column
     of level |y|, before any spectrum, transform or popcount is made; any
     other f has its levels read off its spectrum.  A spectral-side f is
-    read where it is, not copied.  When the (levels or rows, points)
-    result, f, the spectrum copy of a physical f and the popcounts would
-    together exceed `PHYSICAL_MEMORY`, MemoryError is raised before the
-    result is allocated (`_check_memory`).
+    read where it is, not copied.  When the terms, f, the spectrum copy of a
+    physical f and the popcounts would exceed `PHYSICAL_MEMORY`, MemoryError
+    is raised before the terms are allocated (`_check_memory`).
     """
     n = f.n
     rows = np.asarray(rows, dtype=np.float64)
@@ -136,7 +135,7 @@ def _radial_terms(f: CubeFunction, rows, points=None):
         raise ValueError(f"{points} points: expected 2^{n} or 2^{n - 1}")
     fold = points < size
     if f.side == PHYSICAL:
-        y = _signed_character(f.values) if len(rows) > 1 else None
+        y = _signed_character(f.values)
         if y is not None:
             return rows[:, [y.bit_count()]], f.values[None, :points]
         spec = fwht(f.values.copy())
@@ -172,14 +171,23 @@ def _radial_terms(f: CubeFunction, rows, points=None):
     return None, out
 
 
+def _product(coef, terms, out=None):
+    """coef x terms: a broadcast multiply, with no BLAS call, for one column."""
+    return (np.multiply if coef.shape[1] == 1 else np.matmul)(coef, terms, out=out)
+
+
 def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
     """Row i of the result is sum_w rows[i, w] P_w f on the physical side.
 
     `rows` is a real (m, n+1) matrix of multipliers indexed by Walsh level and
-    f may be on either side; the result is (m, 2^n), float64 when f.values are.
+    f may be on either side; the result is (m, 2^n), float64 when f.values
+    are, and equals its tiles (`_radial_multiplier_blocks`).  A single-level
+    result is estimated as m rows (`_check_memory`) before it is formed.
     """
     coef, terms = _radial_terms(f, rows)
-    return terms if coef is None else coef @ terms
+    if coef is not None and coef.shape[1] == 1:
+        _check_memory(f.n, len(coef), range(len(coef)), terms.shape[1], terms.dtype, f.side)
+    return terms if coef is None else _product(coef, terms)
 
 
 def _radial_multiplier_blocks(f: CubeFunction, rows, points=None):
@@ -193,22 +201,17 @@ def _radial_multiplier_blocks(f: CubeFunction, rows, points=None):
     A tile is valid until the next one is drawn, and the consumer may
     overwrite it: no tile is a view of f.  When f has fewer non-zero levels
     than there are rows (every character, every spectral-side half-spectrum
-    draw), each tile is formed from the level projections as it is asked for,
-    into one buffer that every tile reuses, so the (m, points) result is
-    never held; otherwise the tiles are views of it.  With one level (every
-    character) a tile is the broadcast product of the level's (m, 1) column
-    and its (1, width) block, one `np.multiply` and no BLAS call.  Each entry
-    is one product, so it has the bits of the matrix product, but for the
-    sign of a zero product (BLAS adds it to +0), which no jump |a_i - a_j|
-    of the pointwise DP sees.
+    draw), each tile is formed from the level projections as it is asked for
+    (`_product`, as the whole result is), into one buffer that every tile
+    reuses, so the (m, points) result is never held; otherwise the tiles are
+    views of it.
     """
     coef, terms = _radial_terms(f, rows, points)
     width = min(terms.shape[1], core.BLOCK * 8 // terms.itemsize)
     tile = None if coef is None else np.empty((len(coef), width), dtype=terms.dtype)
-    form = np.matmul if coef is None or coef.shape[1] > 1 else np.multiply
     for start in range(0, terms.shape[1], width):
         block = terms[:, start:start + width]
-        yield block if coef is None else form(coef, block, out=tile[:, :block.shape[1]])
+        yield block if coef is None else _product(coef, block, tile[:, :block.shape[1]])
 
 
 def _kraw_rows(n: int, radii) -> np.ndarray:

@@ -136,11 +136,11 @@ def test_10_parity_vs_full_blowup(tmp_path):
         for q in (0, 1):
             rec = parity_character_scan(n, r, q)
             parity_max[q][n] = rec["value"]
-            report.add(rec)
+            report.records.append(rec)
         full = max(
             vr_exact(table.float[:, m], r) for m in range(n + 1)
         )
-        report.add(record(n, "full_range_character_max", full, r=r))
+        report.records.append(record(n, "full_range_character_max", full, r=r))
         full_ok &= full >= 2 * n ** (1 / r) - 1e-9
     parity_ok = all(
         parity_max[q][n] <= 1.25 * parity_max[q][12]

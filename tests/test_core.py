@@ -65,6 +65,16 @@ def test_norm_bits_and_one_temporary(complex_):
     assert math.isnan(f.norm(math.inf))
 
 
+@pytest.mark.parametrize("p", [0, -1, 0.5, -math.inf, math.nan])
+def test_norm_rejects_exponent_below_one(p):
+    # (sum |v|^p)^{1/p} is a norm only for p >= 1: p = 0 used to divide by
+    # zero, p = -1 to return 1/16 for a 16-point character, p = nan nan
+    f = character(4, 5)
+    with pytest.raises(ValueError, match=f"got {p}"):
+        f.norm(p)
+    assert f.norm(1) == 16.0 and f.norm(math.inf) == 1.0
+
+
 def test_character_values_exact_and_temporaries_small():
     for n in (1, 4, 7):
         for y in (0, 1, (1 << n) - 1, (1 << n) // 3):

@@ -46,7 +46,8 @@ def test_config_validation():
 
 def test_report_serialization(tmp_path):
     report = ExperimentReport("demo", {"seed": 1})
-    report.add({"n": 3, "r": 2.0, "q": None, "metric": "x", "value": 1.5, "witness": {"k": 1}})
+    report.records.append({"n": 3, "r": 2.0, "q": None, "metric": "x", "value": 1.5,
+                           "witness": {"k": 1}})
     j = json.loads(report.to_json())
     assert j["name"] == "demo" and len(j["records"]) == 1
     _emit(report, tmp_path, "csv")

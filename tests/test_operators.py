@@ -430,6 +430,93 @@ def test_one_level_tiles_are_products(monkeypatch):
         assert (tiles + 0.0).tobytes() == (product + 0.0).tobytes()
 
 
+def _single_level_cases(n):
+    """The multipliers and single-level inputs at a level w with a zero
+    multiplier kappa_k(w) where there is one: c chi_y for three c, two
+    characters of weight w and a one-level spectral input."""
+    rows = build_table(n).float
+    zeros = np.flatnonzero((rows == 0).any(axis=0))
+    w = int(zeros[-1]) if len(zeros) else n
+    pc = popcounts(n)
+    ys = [int(y) for y in np.flatnonzero(pc == w)]
+    chi = character(n, ys[0]).values
+    cases = [CubeFunction(n, c * chi) for c in (1, -0.75, 1 - 2j)]
+    if len(ys) > 1:
+        cases.append(CubeFunction(n, chi + character(n, ys[-1]).values))
+    one_level = np.where(pc == w, np.random.default_rng(n).standard_normal(1 << n), 0.0)
+    return rows, cases + [CubeFunction(n, one_level, SPECTRAL)]
+
+
+@pytest.mark.parametrize("n", [1, 9, 14])
+def test_single_level_result_equals_its_tiles(n, monkeypatch):
+    # the whole result and its tiles are formed by one product, so they
+    # agree byte for byte, the sign of a zero product kappa_k(w) x included
+    monkeypatch.setattr(core, "BLOCK", 7)
+    rows, cases = _single_level_cases(n)
+    for f in cases:
+        assert operators._radial_terms(f, rows)[0].shape == (n + 1, 1)
+        tiles = np.hstack([b.copy() for b in operators._radial_multiplier_blocks(f, rows)])
+        assert apply_radial_multipliers(f, rows).tobytes() == tiles.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 9, 14])
+def test_one_row_characters_make_no_transform(n, monkeypatch):
+    # one-row calls read c chi_y in place as multi-row calls do: no forward
+    # or inverse transform, and the bits of the transform route but for the
+    # sign of a zero, which adding +0.0 clears
+    calls, signed_character = _count_fwht(monkeypatch), operators._signed_character
+    for y in {(1 << n) - 1, (1 << (n - 1)) - 1}:
+        for c in (1, -0.75, 1 - 2j):
+            f = CubeFunction(n, c * character(n, y).values)
+            routes = []
+            for signed in (signed_character, lambda values: None):
+                monkeypatch.setattr(operators, "_signed_character", signed)
+                routes.append([g.values + 0.0 for g in (
+                    *(spherical_mean_multiplier(f, k) for k in (0, n // 2, n)),
+                    noise_multiplier(f, 0.7))])
+                assert len(calls) == (0 if len(routes) == 1 else 8)
+                calls.clear()
+            in_place, transformed = routes
+            assert [v.tobytes() for v in in_place] == [v.tobytes() for v in transformed]
+
+
+def test_one_column_product_calls_no_matmul(monkeypatch):
+    # the whole single-level result is one broadcast multiply, as each tile
+    # is: a spy view of the terms sees every ufunc, `@` included
+    calls = []
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls.append(ufunc.__name__)
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    rows, cases = _single_level_cases(10)
+    for f in cases:
+        coef, terms = operators._radial_terms(f, rows)
+        expected = apply_radial_multipliers(f, rows)
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_radial_terms", lambda *args: (coef, terms.view(Spy)))
+            m.setattr(np, "matmul", None)
+            calls.clear()
+            assert apply_radial_multipliers(f, rows).tobytes() == expected.tobytes()
+        assert calls == ["multiply"]
+
+
+def test_single_level_result_above_physical_memory_raises(monkeypatch):
+    # a single-level whole result is estimated before it is formed, as the
+    # per-row route's (n+1, 2^n) result with f, a spectrum copy and the
+    # popcounts; the tile stream never holds it, so the ratio still runs
+    n = 16
+    need = (n + 1 + 2) * (1 << n) * 8 + (1 << n)
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 1 << 20)
+    chi = character(n, 2**15 - 1)
+    for f in (chi, CubeFunction(n, chi.values + character(n, 2**16 - 2).values)):
+        with pytest.raises(MemoryError, match=f"need {need} bytes, more than the {1 << 20} bytes"):
+            spherical_mean_stack(f, range(n + 1))
+        assert variation_norm_ratio(f, range(n + 1), 2.0) > 0
+    assert need == 10027008
+
+
 def test_noise_binomial_weights_sum_to_one():
     # mixture of means applied to the constant function returns the constant
     n = 8
