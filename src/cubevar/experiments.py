@@ -234,10 +234,15 @@ TIE_ULPS = 4
 def parity_character_scan(n: int, r: float, q: int) -> dict:
     """Max over spectral levels m of V_r of the parity-restricted multiplier
     sequence; this is the character supremum of the fixed-parity operator.
-    Every level's column runs through one `vr_pointwise_values` call.  The
-    witness weight is the smallest level tied for the maximum (`TIE_ULPS`),
-    so rounding does not pick among levels tied in exact arithmetic."""
-    values = vr_pointwise_values(_kraw_rows(n, parity_radii(n, q)), r).tolist()
+    kappa_k(n - m) = (-1)^k kappa_k(m), so at a fixed parity of k the column
+    of level n - m is +- the column of level m, whose V_r has the same bits:
+    the levels m <= n/2 run through one `vr_pointwise_values` call and the
+    others are mirrored from them.  The witness weight is the smallest level
+    tied for the maximum (`TIE_ULPS`), so rounding does not pick among levels
+    tied in exact arithmetic."""
+    half = n // 2 + 1
+    values = vr_pointwise_values(_kraw_rows(n, parity_radii(n, q))[:, :half], r).tolist()
+    values += [values[n - m] for m in range(half, n + 1)]
     top = max(values)
     weight = next(w for w, v in enumerate(values) if top - v <= TIE_ULPS * math.ulp(top))
     return record(n, "parity_character_max", top, {"weight": weight, "per_level": values}, r=r, q=q)

@@ -181,13 +181,17 @@ def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
 
     `rows` is a real (m, n+1) matrix of multipliers indexed by Walsh level and
     f may be on either side; the result is (m, 2^n), float64 when f.values
-    are, and equals its tiles (`_radial_multiplier_blocks`).  A single-level
-    result is estimated as m rows (`_check_memory`) before it is formed.
+    are, and equals its tiles (`_radial_multiplier_blocks`).  A result formed
+    from coef x terms is estimated (`_check_memory`) before it is formed, as
+    m rows beside the level projections it is formed from, or beside none
+    when the terms are f itself.
     """
     coef, terms = _radial_terms(f, rows)
-    if coef is not None and coef.shape[1] == 1:
-        _check_memory(f.n, len(coef), range(len(coef)), terms.shape[1], terms.dtype, f.side)
-    return terms if coef is None else _product(coef, terms)
+    if coef is None:
+        return terms
+    held = len(coef) + (0 if np.shares_memory(terms, f.values) else len(terms))
+    _check_memory(f.n, held, range(held), terms.shape[1], terms.dtype, f.side)
+    return _product(coef, terms)
 
 
 def _radial_multiplier_blocks(f: CubeFunction, rows, points=None):

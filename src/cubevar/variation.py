@@ -128,6 +128,61 @@ def vr_pointwise_values(stack: np.ndarray, r, *, overwrite: bool = False) -> np.
     return out[[distinct.index(x) for x in orders]]
 
 
+def _link_bounds(block, orders, top, bottom):
+    """Bounds on the terms |s_i - s_j|^r of the scaled real `block`: for each
+    order r, a list whose entry [j][i] is at least the term of the link
+    (i, j) in every column, or None when a value of the block is not finite.
+    `top` and `bottom` are scratch rows of the block's width.
+
+    |s_i - s_j| is at most J, the largest column range max_k s_k - min_k s_k,
+    and at most max(hi_i - lo_j, hi_j - lo_i), with hi and lo the largest and
+    smallest value of each row; rounding is monotone, so the smaller of the
+    two, in floats, is at least every fl(|s_i - s_j|).  For r = 2 and 3 it
+    is put through the products the DP forms, so the bound is at least every
+    term exactly; for any other r it is raised by 2^-40 of itself first, far
+    above the error of the powers, and the bound is at least 2^-1000, above
+    any power that rounds in the subnormal range."""
+    np.max(block, axis=0, out=top)
+    np.min(block, axis=0, out=bottom)
+    J = np.subtract(top, bottom, out=top).max()
+    hi, lo = block.max(axis=1), block.min(axis=1)
+    reach = np.minimum(np.maximum(hi[:, None] - lo, hi - lo[:, None]), J)
+    if not np.isfinite(reach).all():
+        return None
+    bounds = []
+    for r in orders:
+        if r == 2:
+            bound = reach * reach
+        elif r == 3:
+            bound = reach * (reach * reach)
+        else:
+            bound = np.maximum(np.power(reach * (1.0 + 2.0 ** -40), r), 2.0 ** -1000)
+        bounds.append(bound.T.tolist())
+    return bounds
+
+
+def _kept_links(bound, b, j, tops) -> list:
+    """For each link i < j, whether its candidate |s_i - s_j|^r + b[i] can
+    exceed b[j-1] in some column, when `bound[i]` bounds its term.  A link
+    with fl(bound[i] + max b[i]) <= min b[j-1] cannot: its candidate is at
+    most b[j-1], at most the candidate of link j - 1, which is always kept.
+    Before any reduction, the least bound is compared with b[j-1] at three
+    columns (b[i] >= 0), so a row where no link can be dropped costs O(1).
+    `tops` caches max b[i], None where it is not formed yet."""
+    last = b[j - 1]
+    least = min(bound[:j - 1], default=math.inf)
+    if not (least <= last[0] and least <= last[len(last) // 2] and least <= last[-1]):
+        return [True] * j
+    low = float(last.min())
+    kept = [True] * j
+    for i in range(j - 1):
+        if bound[i] <= low:              # else fl(bound[i] + max b[i]) > low too
+            if tops[i] is None:
+                tops[i] = float(b[i].max())
+            kept[i] = bound[i] + tops[i] > low
+    return kept
+
+
 def _vr_block(block, orders, diff, best, jump, square, cand, out) -> None:
     """V_r of each column of `block` into row k of `out`, r the k-th order.
 
@@ -140,6 +195,13 @@ def _vr_block(block, orders, diff, best, jump, square, cand, out) -> None:
     compared in place: on 2^14 doubles a ufunc that writes a third buffer
     took twice as long as one that writes an input.  V_1 is the sum of the
     adjacent jumps: refining a chain never lowers its 1-variation.
+
+    In a real block, a link i < j - 1 that cannot win in any column is
+    skipped (`_link_bounds`, `_kept_links`): when no order keeps it no jump
+    is formed, and otherwise the orders that drop it leave out only its sum
+    and maximum.  The maximum is exact and a dropped candidate never exceeds
+    a kept one, so every output keeps its bits.  A complex block has no
+    tight bound on its terms and runs every link.
     """
     spread = out[0]                      # max_j |a_j - a_0| until the DP starts
     spread.fill(0.0)
@@ -154,29 +216,44 @@ def _vr_block(block, orders, diff, best, jump, square, cand, out) -> None:
     chains = [(k, r) for k, r in enumerate(orders) if r != 1]
     out[sums] = 0.0
     best[:, 0] = 0.0
-    signed = np.isrealobj(diff) and orders == [2.0]
-    cube = 3.0 in orders
+    real = np.isrealobj(diff)
+    bounds = _link_bounds(block, [r for _, r in chains], jump, square) if real and chains else None
+    tops = [[None] * len(block) for _ in chains]
+    signed = real and orders == [2.0]
     # a complex jump is subtracted as its float64 (re, im) pairs
     flat, flat_diff = block.view(np.float64), diff.view(np.float64)
     for j in range(1, len(block)):
-        for i in range(j) if chains else (j - 1,):
+        if bounds:
+            keeps = [_kept_links(bound[j], b, j, t) for bound, b, t in zip(bounds, best, tops)]
+            links = [i for i in range(j) if any(keep[i] for keep in keeps)]
+        else:
+            keeps = [[True] * j] * len(chains)
+            links = range(j) if chains else (j - 1,)
+        starts = [keep.index(True) for keep in keeps]
+        for i in links:
             np.subtract(flat[i], flat[j], out=flat_diff)
             if not signed:                # a real jump's sign does not change its square
                 np.abs(diff, out=jump)
             if i == j - 1:
                 for k in sums:
                     out[k] += jump
-            for (k, r), b in zip(chains, best):
+            cubed = False
+            for (k, r), b, keep, start in zip(chains, best, keeps, starts):
+                if not keep[i]:
+                    continue
                 if r == 2:
-                    term = square if cube else np.multiply(jump, jump, out=jump)
+                    term = square if cubed else np.multiply(jump, jump, out=jump)
                 elif r == 3:
                     term = np.multiply(jump, np.multiply(jump, jump, out=square), out=jump)
+                    cubed = True
                 else:
                     term = np.power(jump, r, out=cand)
                 # b[j] = max over i < j of |s_i - s_j|^r + b[i]; every term
-                # is >= 0, so the i = 0 term starts the maximum
+                # is >= 0, so the first kept candidate starts the maximum
                 if i == 0:
                     b[j] = term
+                elif i == start:
+                    np.add(term, b[i], out=b[j])
                 else:
                     term += b[i]
                     np.maximum(b[j], term, out=b[j])

@@ -196,6 +196,8 @@ def test_parity_character_scan_matches_oracle(r):
             # at n = 63)
             rel = len(radii) * np.finfo(float).eps if r == 1 else 1e-15
             assert per_level == pytest.approx(expected, rel=rel, abs=0)
+            # the levels above n/2 are mirrored: the bits of the DP on every column
+            assert per_level == vr_pointwise_values(table[radii], r).tolist()
 
 
 @pytest.mark.parametrize("n, q", [(9, 0), (33, 0), (33, 1)])
@@ -218,7 +220,7 @@ def test_character_scans_run_one_dp_call(monkeypatch):
 
     monkeypatch.setattr(experiments, "vr_pointwise_values", counted)
     parity_character_scan(12, 2.5, 1)
-    assert calls == [((6, 13), 2.5)]
+    assert calls == [((6, 7), 2.5)]            # levels 0..6; 7..12 are mirrored
     calls.clear()
     records = counterexample_corollary(16, [1.0, 2.0, 3.0], 0.5)
     assert calls == [((17, 1), [1.0, 2.0, 3.0])]

@@ -578,11 +578,12 @@ def test_result_above_physical_memory_raises(monkeypatch):
     n = 8
     rng = np.random.default_rng(16)
     cases = [
-        (rand_fn(n, rng), n + 1, 2),                              # per-row route
-        (random_halfspectrum_function(n, rng), n // 2 + 1, 1),    # projection route
+        (rand_fn(n, rng), n + 1, 2),                                      # per-row route
+        (random_halfspectrum_function(n, rng), n + 1 + n // 2 + 1, 1),    # projection route
     ]
     for f, count, copies in cases:
-        # the result, f with a physical f's spectrum copy, and the popcounts
+        # the result with the level projections it is formed from, f with a
+        # physical f's spectrum copy, and the popcounts
         need = (count + copies) * (1 << n) * 16 + (1 << n)
         monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need - 1)
         with pytest.raises(MemoryError, match=f"{need} bytes, more than the {need - 1} bytes"):

@@ -284,6 +284,127 @@ def test_vr_pointwise_overwrite_gives_the_same_bits(monkeypatch):
         assert stack.tobytes() == before.tobytes()
 
 
+#: The orders of the link-pruning tests: r = 1 runs no chain, r = 2 and 3
+#: bound their terms by the DP's own products, and r = 2.5 by a power.
+PRUNE_ORDERS = [1.0, 2.0, 2.5, 3.0]
+
+
+def _unpruned(stack, orders, **kwargs):
+    """`vr_pointwise_values` with every link of every block run."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variation, "_link_bounds", lambda *args: None)
+        return vr_pointwise_values(stack, orders, **kwargs)
+
+
+@pytest.mark.parametrize("overwrite", [False, True])
+def test_pruned_links_keep_every_bit(monkeypatch, overwrite):
+    # a character column, times signs, in blocks where links are skipped, in
+    # blocks mixed with a constant column (min b[j-1] = 0, so none can be)
+    # and with the rule off: the same bits, in a partial last block too
+    monkeypatch.setattr(core, "BLOCK", 8)
+    rng = np.random.default_rng(31)
+    points = 2 * 8 + 3
+    mixed_in = np.arange(2, points, 8)              # one column in every block
+    for n, weight in ((16, 15), (16, 16), (13, 12), (9, 3)):
+        uniform = build_table(n).float[:, [weight]] * rng.choice([-1.0, 1.0], size=points)
+        mixed = uniform.copy()
+        mixed[:, mixed_in] = 0.5
+        kept = np.setdiff1d(np.arange(points), mixed_in)
+        for orders in [[r] for r in PRUNE_ORDERS] + [PRUNE_ORDERS]:
+            expected = _unpruned(uniform.copy(), orders, overwrite=overwrite)
+            got = vr_pointwise_values(uniform.copy(), orders, overwrite=overwrite)
+            assert got.tobytes() == expected.tobytes()
+            got = vr_pointwise_values(mixed.copy(), orders, overwrite=overwrite)
+            assert got[:, kept].tobytes() == expected[:, kept].tobytes()
+            assert not got[:, mixed_in].any()
+
+
+@pytest.mark.parametrize("odd", ["nan", "inf", "-inf", "both_inf", "1e200"])
+def test_odd_column_in_a_character_block_keeps_its_bits(odd):
+    # a column holding NaN or infinities switches the rule off for its block
+    # (|inf - inf| is a NaN candidate that no bound covers); one scaled by
+    # 1e200 does not: every column has the bits it has alone
+    n = 12
+    column = build_table(n).float[:, n - 1]
+    block = column[:, None] * np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    if odd == "1e200":
+        block[:, 3] *= 1e200
+    elif odd == "both_inf":
+        block[[2, 5], 3] = math.inf
+    else:
+        block[4, 3] = float(odd)
+    with np.errstate(invalid="ignore"):         # inf - inf
+        values = vr_pointwise_values(block, PRUNE_ORDERS)
+        for x in range(block.shape[1]):
+            alone = vr_pointwise_values(block[:, [x]], PRUNE_ORDERS)
+            assert values[:, x].tobytes() == alone[:, 0].tobytes()
+            assert alone.tobytes() == _unpruned(block[:, [x]], PRUNE_ORDERS).tobytes()
+    assert np.isfinite(values[:, 3]).all() == (odd == "1e200")
+
+
+@pytest.mark.parametrize("block", [1, 4])
+def test_pruned_links_keep_the_bits_of_random_columns(monkeypatch, block):
+    # random short sequences, with ties, with chain links near the bound that
+    # win by a hair and with links that only r = 3 drops, keep the bits of the
+    # DP with every link run: one column a block, where the row bounds are the
+    # jumps themselves, and blocks of four signed and shifted copies of one
+    # sequence, where neither bound is tight
+    monkeypatch.setattr(core, "BLOCK", block)
+    rng = np.random.default_rng(41)
+    columns = [rng.integers(0, 4, size=(5, 100)).astype(float),
+               np.cumsum(rng.uniform(0.0, 1.0, size=(6, 100)) ** 4, axis=0),
+               rng.standard_normal((4, 100))]
+    columns += [rng.standard_normal((m, 400)) for m in (7, 8, 9)]
+    for stack in columns:
+        if block > 1:
+            copies = np.repeat(stack[:, ::block], block, axis=1)
+            stack = copies * rng.choice([-1.0, 1.0], size=copies.shape[1]) + rng.uniform(
+                -0.1, 0.1, size=copies.shape[1])
+        for orders in ([2.0], PRUNE_ORDERS):
+            expected = _unpruned(stack, orders)
+            assert vr_pointwise_values(stack, orders).tobytes() == expected.tobytes()
+
+
+class _CountingNumpy:
+    """numpy, with its calls of `subtract` counted."""
+
+    def __init__(self):
+        self.subtractions = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, *args, **kwargs):
+        self.subtractions += 1
+        return np.subtract(*args, **kwargs)
+
+
+@pytest.mark.parametrize("weight, offsets", [(20, False), (19, False), (20, True)])
+def test_pruning_skips_most_links_of_a_witness_block(monkeypatch, weight, offsets):
+    # the n = 20 witness columns, kappa_k(n) = (-1)^k and kappa_k(n - 1), times
+    # signs: the row bounds drop most chain links at r = 2 and 3, so at most
+    # 3m jumps are formed where the full DP forms m(m-1)/2, and m - 1
+    # differences for the spread either way.  Shifted by offsets far apart,
+    # the row bounds drop none, and the column range drops them instead.
+    n = 20
+    m = n + 1
+    column = build_table(n).float[:, [weight]]
+    block = column * np.repeat([1.0, -1.0], 8)
+    if offsets:
+        block = column + np.arange(16.0) * 4
+    counts = []
+    for run in (vr_pointwise_values, _unpruned):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(variation, "np", counting)
+        values = run(block, [2.0, 3.0])
+        monkeypatch.setattr(variation, "np", np)
+        counts.append(counting.subtractions)
+        expected = [vr_exact(column[:, 0], 2.0), vr_exact(column[:, 0], 3.0)]
+        assert values == pytest.approx(np.repeat(np.array(expected)[:, None], 16, axis=1), rel=1e-14)
+    assert counts[1] == (m - 1) + m * (m - 1) // 2
+    assert counts[0] <= 3 * m
+
+
 @pytest.mark.parametrize("r_list", [[2.0, 3.0, 2.5, 4.0], [3.0, 2.0, 2.0, 4.0, 1.0], [4.0, 2.5, 3.0, 2.0, 3.0]])
 def test_vr_pointwise_orders_in_one_pass(r_list):
     # each row of a multi-order call is the single-order call, bit for bit,
