@@ -20,6 +20,7 @@ from .experiments import (
     counterexample_all_ones,
     counterexample_corollary,
     counterexample_truncated,
+    halfspectrum_fold_bits,
     parity_character_scan,
     phi_scan,
     proposition_halfspectrum_scan,
@@ -185,6 +186,8 @@ def cmd_phi_psi(args) -> int:
 
 def cmd_half_spectrum(args) -> int:
     cfg = _cube_config(args)
+    for n in cfg.n_list:     # every n's fold and memory estimate before the first draw
+        halfspectrum_fold_bits(n)
     report = ExperimentReport("half-spectrum", asdict(cfg))
     for n in cfg.n_list:
         report.records.extend(proposition_halfspectrum_scan(n, cfg.r_list, cfg.trials, cfg.seed))

@@ -86,24 +86,29 @@ class CubeFunction:
             )
 
     def norm(self, p: float = 2) -> float:
-        """(sum |v|^p)^{1/p} over the values for p >= 1, or max |v| at p = inf.
-
-        |v|^p is formed and summed `CHUNK` values at a time in one buffer,
-        and the chunk sums are combined by `pairwise_total`, so the bits are
-        those of the whole-array expression and no 2^n temporary is made."""
+        """(sum |v|^p)^{1/p} over the values for p >= 1, or max |v| at p = inf,
+        with the sum of `abs_power_sum`."""
         if not p >= 1:
             raise ValueError(f"norm exponent p must be >= 1 or inf, got {p}")
-        top = p == math.inf
-        buf = np.empty(min(CHUNK, self.values.size))
-        parts = []
-        for start in range(0, self.values.size, buf.size):
-            a = np.abs(self.values[start:start + buf.size], out=buf)
-            if not top:
-                a **= p                  # the ufunc of a**p, without a second temporary
-            parts.append(a.max() if top else a.sum())
-        if top:
-            return float(np.max(parts))
-        return float(pairwise_total(parts) ** (1.0 / p))
+        if p == math.inf:
+            return float(np.max([np.abs(self.values[start:start + CHUNK]).max()
+                                 for start in range(0, self.values.size, CHUNK)]))
+        return float(abs_power_sum(self.values, p) ** (1.0 / p))
+
+
+def abs_power_sum(values: np.ndarray, p: float = 2):
+    """sum |v|^p over a 1-D array whose length is a power of two, as a numpy
+    float64.  |v|^p is formed and summed `CHUNK` values at a time in one
+    buffer, and the chunk sums are combined by `pairwise_total`, so the bits
+    are those of `(np.abs(values) ** p).sum()` and no temporary of the
+    array's size is made."""
+    buf = np.empty(min(CHUNK, values.size))
+    parts = []
+    for start in range(0, values.size, buf.size):
+        a = np.abs(values[start:start + buf.size], out=buf)
+        a **= p                          # the ufunc of a**p, without a second temporary
+        parts.append(a.sum())
+    return pairwise_total(parts)
 
 
 def character(n: int, y: int) -> CubeFunction:

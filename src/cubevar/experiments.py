@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CHUNK, SPECTRAL, CubeFunction, character, pairwise_total, popcounts
+from .core import CHUNK, SPECTRAL, CubeFunction, abs_power_sum, character, pairwise_total, popcounts
 from .krawtchouk import build_table
-from .operators import _check_memory, _kraw_rows, _radial_multiplier_blocks
+from .operators import _fold_bits, _kraw_rows, _radial_multiplier_blocks
 from .variation import _check_order, vr_pointwise_values
 
 CSV_HEADER = ["experiment", "n", "r", "q", "metric", "value", "witness"]
@@ -117,15 +117,21 @@ def variation_norm_ratio(f: CubeFunction, radii, r):
     V_r, and the sum over the cube is twice the sum over the half.
 
     `r` is one order, for one ratio, or a sequence of orders, for a list of
-    ratios in the given order; every order is filled from one stream."""
-    radii = list(radii)
+    ratios in the given order; every order is filled from one stream.
+
+    No reference to f is kept once the tile stream has it, so when the
+    caller holds none either (`proposition_halfspectrum_scan`), f and its
+    spectrum are freed as soon as the engine has made its last terms: before
+    the first DP block unless the engine folds onto several sub-cubes."""
+    radii, n = list(radii), f.n
     norm_f = f.norm(2)
     if norm_f == 0.0:
         raise ValueError("ratio undefined for the zero function")
-    points = _reduced_points(f.n, radii)
-    half = points < 1 << f.n
+    points = _reduced_points(n, radii)
+    half = points < 1 << n
     # _kraw_rows raises on no radii or one outside 0..n
-    tiles = _radial_multiplier_blocks(f, _kraw_rows(f.n, radii), points)
+    tiles = _radial_multiplier_blocks(f, _kraw_rows(n, radii), points)
+    del f
     orders = np.ravel(r)
     buf = np.empty((orders.size, min(CHUNK, points)))
     sums, fill = [], 0
@@ -256,32 +262,57 @@ def halfspectrum_levels(n: int) -> range:
 def random_halfspectrum_function(n: int, rng) -> CubeFunction:
     """Unit-norm function with independent complex Gaussian coefficients on
     the frequencies of `halfspectrum_levels` and exact zeros elsewhere, on
-    the spectral side."""
+    the spectral side.
+
+    The bits are those of `rng.standard_normal(2^n) + 1j *
+    rng.standard_normal(2^n)`, zeroed above the levels and divided by the
+    square root of sum |v|^2, drawn in place: the real parts and then the
+    imaginary parts are drawn `CHUNK` values at a time through one float64
+    buffer (the generator's stream does not depend on how it is split) into
+    the one complex array, the levels above are zeroed chunk by chunk, and
+    the sum is `abs_power_sum`'s (not `CubeFunction.norm`, whose `** 0.5`
+    is not `np.sqrt`).  So the draw holds 16 bytes a point and a few
+    chunks."""
     size = 1 << n
     pc = popcounts(n)
-    spec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    spec[pc >= len(halfspectrum_levels(n))] = 0.0
-    spec /= np.sqrt((np.abs(spec) ** 2).sum())
+    top = len(halfspectrum_levels(n))
+    spec = np.empty(size, dtype=np.complex128)
+    buf = np.empty(min(CHUNK, size))
+    for part in (spec.real, spec.imag):
+        for start in range(0, size, buf.size):
+            part[start:start + buf.size] = rng.standard_normal(out=buf)
+    for start in range(0, size, buf.size):
+        np.copyto(spec[start:start + buf.size], 0.0, where=pc[start:start + buf.size] >= top)
+    spec /= np.sqrt(abs_power_sum(spec))
     return CubeFunction(n, spec, SPECTRAL)
+
+
+def halfspectrum_fold_bits(n: int) -> int:
+    """The bits by which the engine folds a half-spectrum draw at n
+    (`operators._fold_bits` for a complex spectral input filling
+    `halfspectrum_levels`, with every radius, on the points
+    `variation_norm_ratio` reduces), or MemoryError when no fold fits."""
+    radii = range(n + 1)
+    return _fold_bits(n, len(radii), halfspectrum_levels(n), _reduced_points(n, radii),
+                      np.complex128, SPECTRAL)
 
 
 def proposition_halfspectrum_scan(n: int, r_list, trials: int, seed: int) -> list:
     """Random-search lower bound for the half-spectrum operator quantity, one
     record per order in r_list; every order is evaluated on the same draws,
-    and each recorded maximum is a lower bound only.  The engine's memory
-    estimate for a draw (complex, spectral, filling `halfspectrum_levels`,
-    on the points `variation_norm_ratio` reduces for these radii) is checked
-    before the first draw, so a refusal draws nothing."""
+    and each recorded maximum is a lower bound only.  The engine's fold and
+    memory estimate for a draw (`halfspectrum_fold_bits`) is checked before
+    the first draw, so a refusal draws nothing.  Each draw goes straight
+    into `variation_norm_ratio` and is held nowhere else, so it is freed
+    once the engine has made its last terms."""
     if n < 2:
         raise ValueError("need n >= 2")
     radii = range(n + 1)
-    _check_memory(n, len(radii), halfspectrum_levels(n), _reduced_points(n, radii),
-                  np.complex128, SPECTRAL)
+    halfspectrum_fold_bits(n)
     rng = np.random.default_rng(seed)
     best = [0.0] * len(r_list)
     for _ in range(trials):
-        f = random_halfspectrum_function(n, rng)
-        ratios = variation_norm_ratio(f, radii, r_list)
+        ratios = variation_norm_ratio(random_halfspectrum_function(n, rng), radii, r_list)
         best = [max(b, ratio) for b, ratio in zip(best, ratios)]
     return [record(n, "halfspectrum_random_max", value,
                    {"trials": trials, "seed": seed, "kind": "lower_bound"}, r=r)

@@ -64,17 +64,42 @@ def spherical_mean_direct(f: CubeFunction, k: int, method: str = "auto") -> Cube
 
 
 def _check_memory(n: int, m: int, levels, points: int, dtype, side: str) -> None:
-    """Raise MemoryError when the engine for m rows, on `points` points, of
+    """Raise MemoryError when the engine for m rows, on `points` points at a
+    time (the whole cube, the half cube or one sub-cube of `_fold_bits`), of
     an f with `dtype` values on `side` and non-zero Walsh `levels` would
-    exceed `PHYSICAL_MEMORY`: its (min(levels, m), points) result, f, the
-    spectrum copy of a physical f and the popcounts (1 B a point).  The
-    engine's one estimate, also made before an input is drawn."""
+    exceed `PHYSICAL_MEMORY`: its (min(levels, m), points) terms, f, the
+    spectrum copy of a physical f and the popcounts (1 B a point)."""
     size = 1 << n
     count, copies = min(len(levels), m), 2 if side == PHYSICAL else 1
     need = (count * points + copies * size) * np.dtype(dtype).itemsize + size
     if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
         raise MemoryError(f"{count} x {points} values and f need {need} bytes, more than the "
                           f"{PHYSICAL_MEMORY} bytes of physical memory")
+
+
+#: The most bits `_fold_bits` folds by: sub-cubes of 2^{n-4} points.  Each
+#: sub-cube reads the whole spectrum once per level or row, so the passes
+#: over it double with each bit; at 4 bits the 14 level projections of an
+#: n = 26 half-spectrum input already take less memory than f.
+MAX_FOLD_BITS = 4
+
+
+def _fold_bits(n: int, m: int, levels, points: int, dtype, side: str,
+               most: int = MAX_FOLD_BITS) -> int:
+    """The fewest bits b by which the engine folds its first `points` points
+    (2^n or 2^{n-1}) onto sub-cubes of 2^{n-b} points whose terms fit in
+    memory: at least 1 on the half cube, 0 on the whole cube, and at most
+    `most` (or n).  Each b is checked by `_check_memory` with the sub-cube's
+    points; when none fits, the MemoryError of the last is raised.  The
+    engine's one choice, also made before a half-spectrum input is drawn."""
+    least = int(points < 1 << n)
+    for bits in range(least, max(least, min(n, most)) + 1):
+        try:
+            _check_memory(n, m, levels, (1 << n) >> bits, dtype, side)
+            return bits
+        except MemoryError as exc:
+            refusal = exc
+    raise refusal
 
 
 def _signed_character(values: np.ndarray):
@@ -101,29 +126,38 @@ def _signed_character(values: np.ndarray):
     return y
 
 
-def _radial_terms(f: CubeFunction, rows, points=None):
+def _radial_terms(f: CubeFunction, rows, points=None, most: int = MAX_FOLD_BITS):
     """The spectrum of f, split the way `rows` are cheapest to apply, on the
-    first `points` points of the cube.
+    first `points` points of the cube: yields (coef, terms) for each sub-cube
+    of those points in point order, terms holding its columns.
 
     `rows` is a real (m, n+1) matrix of multipliers indexed by Walsh level and
     f may be on either side.  `points` is 2^n (the default) or 2^{n-1}, the
-    half cube, onto which every inverse transform is folded: for x < 2^{n-1},
-    (H_{2^n} v)(x) = (H_{2^{n-1}} (v_lo + v_hi))(x), with v_lo and v_hi the
-    halves of v, and the spectral point y + 2^{n-1} has level |y| + 1.  When
-    f has fewer non-zero levels than there are rows, each non-zero level
-    projection is inverse-transformed once and the result is coef x terms
-    (`_product`), with coef the (m, levels) columns of the rows; otherwise
-    each row takes one inverse transform, coef is None and terms is the
-    (m, points) result itself, float64 when f.values are.  A physical-side f
-    with a single non-zero level is its own level projection: terms is a
-    view of f itself, with no transform back.  A physical f = c chi_y (c
-    finite and non-zero; every witness) is confirmed blockwise
-    (`_signed_character`) and takes that route, with coef the (m, 1) column
-    of level |y|, before any spectrum, transform or popcount is made; any
-    other f has its levels read off its spectrum.  A spectral-side f is
-    read where it is, not copied.  When the terms, f, the spectrum copy of a
-    physical f and the popcounts would exceed `PHYSICAL_MEMORY`, MemoryError
-    is raised before the terms are allocated (`_check_memory`).
+    half cube.  Every inverse transform is folded by b bits (`_fold_bits`,
+    the fewest that fit, at most `most`; at least 1 on the half cube) onto
+    sub-cubes of 2^{n-b} points: for x = c 2^{n-b} + x' and v split into
+    the parts v(y_hi, .) of its top b bits,
+    (H_{2^n} v)(x) = (H_{2^{n-b}} sum_{y_hi} (-1)^{|c & y_hi|} v(y_hi, .))(x'),
+    and the spectral point (y_hi, y') has level |y_hi| + |y'|.  Every
+    sub-cube refills the same terms buffer, valid until the next is asked
+    for; with b = 0, or b = 1 on the half cube, there is one.
+
+    When f has fewer non-zero levels than there are rows, each non-zero
+    level projection is inverse-transformed once and the result is coef x
+    terms (`_product`), with coef the (m, levels) columns of the rows;
+    otherwise each row takes one inverse transform, coef is None and terms
+    is the (m, points) result itself, float64 when f.values are.  A
+    physical-side f with a single non-zero level is its own level
+    projection: terms is a view of f itself, with no transform back and no
+    fold.  A physical f = c chi_y (c finite and non-zero; every witness) is
+    confirmed blockwise (`_signed_character`) and takes that route, with
+    coef the (m, 1) column of level |y|, before any spectrum, transform or
+    popcount is made; any other f has its levels read off its spectrum.  A
+    spectral-side f is read where it is, not copied.  No reference to f or
+    its spectrum is kept once the last terms are made.  When the terms, f,
+    the spectrum copy of a physical f and the popcounts would exceed
+    `PHYSICAL_MEMORY` at every b, MemoryError is raised before the terms are
+    allocated (`_check_memory`).
     """
     n = f.n
     rows = np.asarray(rows, dtype=np.float64)
@@ -133,11 +167,11 @@ def _radial_terms(f: CubeFunction, rows, points=None):
     points = size if points is None else points
     if points not in (size, size >> 1):
         raise ValueError(f"{points} points: expected 2^{n} or 2^{n - 1}")
-    fold = points < size
     if f.side == PHYSICAL:
         y = _signed_character(f.values)
         if y is not None:
-            return rows[:, [y.bit_count()]], f.values[None, :points]
+            yield rows[:, [y.bit_count()]], f.values[None, :points]
+            return
         spec = fwht(f.values.copy())
         scale = 2.0 ** -n                # both transforms' 2^{-n/2}, folded in
     else:
@@ -148,27 +182,76 @@ def _radial_terms(f: CubeFunction, rows, points=None):
         levels = np.flatnonzero(np.bincount(pc[spec != 0], minlength=n + 1))
     else:        # one row takes the per-row route whatever levels f has, as if it had all
         levels = range(n + 1)
-    pc, lo, hi = pc[:points], spec[:points], spec[points:]   # hi is empty unless folded
     if len(levels) == 1 < len(rows) and f.side == PHYSICAL:
-        return rows[:, levels], f.values[None, :points]
+        yield rows[:, levels], f.values[None, :points]
+        return
     rows = rows * scale
-    _check_memory(n, len(rows), levels, points, spec.dtype, f.side)
-    if len(levels) < len(rows):
-        proj = np.zeros((len(levels), points), dtype=spec.dtype)
-        for p, w in zip(proj, levels):
-            np.copyto(p, lo, where=pc == w)
-            if fold:
-                np.copyto(p, hi, where=pc == w - 1)
-            fwht(p)
-        return rows[:, levels], proj
-    out = np.empty((len(rows), points), dtype=spec.dtype)
-    upper = np.empty_like(hi)
+    bits = _fold_bits(n, len(rows), levels, points, spec.dtype, f.side, most)
+    sub = size >> bits
+    parts = [spec[h * sub:(h + 1) * sub] for h in range(1 << bits)]
+    del f, spec          # the parts hold the spectrum until the last terms are made
+    # the parts' indices h by level |h|, each level's in increasing order
+    by_level = [[h for h in range(1 << bits) if h.bit_count() == j] for j in range(bits + 1)]
+    pc, cubes, project = pc[:sub], points // sub, len(levels) < len(rows)
+    if project:
+        coef, terms = rows[:, levels], np.zeros((len(levels), sub), dtype=parts[0].dtype)
+    else:
+        coef, terms = None, np.empty((len(rows), sub), dtype=parts[0].dtype)
+        upper = np.empty_like(parts[0]) if bits else None
+    for c in range(cubes):
+        if project:
+            _fold_projections(terms, parts, by_level, pc, levels, c)
+        else:
+            _fold_rows(terms, parts, by_level, pc, rows, c, upper)
+        if c == cubes - 1:
+            parts.clear()
+        yield coef, terms
+
+
+def _fold_projections(proj, parts, by_level, pc, levels, cube: int) -> None:
+    """Row i of `proj`: the inverse transform of level levels[i] of the
+    spectrum (`parts`, split as in `_radial_terms`) on sub-cube `cube`, each
+    part added at the points of `pc` whose level makes up levels[i] with
+    its own, with its sign (-1)^{|cube & h|}; the first at a point is a copy
+    (a negated one for sign -1) and every later one an add or subtract."""
+    top = len(pc).bit_length() - 1
+    for p, w in zip(proj, levels):
+        if cube:
+            p.fill(0)
+        for j, group in enumerate(by_level):
+            if not 0 <= w - j <= top:
+                continue
+            mask = pc == w - j
+            for i, h in enumerate(group):
+                odd = (cube & h).bit_count() & 1
+                if i == 0:
+                    if odd:
+                        np.negative(parts[h], out=p, where=mask)
+                    else:
+                        np.copyto(p, parts[h], where=mask)
+                else:
+                    (np.subtract if odd else np.add)(p, parts[h], out=p, where=mask)
+            del mask         # freed before the transform's scratch is taken
+        fwht(p)
+
+
+def _fold_rows(out, parts, by_level, pc, rows, cube: int, upper) -> None:
+    """Row i of `out`: the inverse transform of rows[i] applied to the
+    spectrum (`parts`, split as in `_radial_terms`) on sub-cube `cube`, each
+    part multiplied by the row at its points' full levels and added with
+    its sign (-1)^{|cube & h|}, through `upper`."""
     for o, row in zip(out, rows):
-        np.multiply(lo, np.take(row, pc), out=o)   # take: row[pc] is 2x slower on uint8
-        if fold:
-            o += np.multiply(hi, np.take(row[1:], pc), out=upper)
+        for j, group in enumerate(by_level):
+            gain = np.take(row[j:], pc)    # take: row[pc] is 2x slower on uint8
+            for h in group:
+                if j == 0:
+                    np.multiply(parts[h], gain, out=o)
+                else:
+                    odd = (cube & h).bit_count() & 1
+                    np.multiply(parts[h], gain, out=upper)
+                    (np.subtract if odd else np.add)(o, upper, out=o)
+            del gain         # freed before the transform's scratch is taken
         fwht(o)
-    return None, out
 
 
 def _product(coef, terms, out=None):
@@ -181,12 +264,13 @@ def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
 
     `rows` is a real (m, n+1) matrix of multipliers indexed by Walsh level and
     f may be on either side; the result is (m, 2^n), float64 when f.values
-    are, and equals its tiles (`_radial_multiplier_blocks`).  A result formed
-    from coef x terms is estimated (`_check_memory`) before it is formed, as
-    m rows beside the level projections it is formed from, or beside none
-    when the terms are f itself.
+    are, and equals its tiles (`_radial_multiplier_blocks`) when they are
+    not folded.  The whole result is held, so its terms are not folded; a
+    result formed from coef x terms is estimated (`_check_memory`) before
+    it is formed, as m rows beside the level projections it is formed from,
+    or beside none when the terms are f itself.
     """
-    coef, terms = _radial_terms(f, rows)
+    [(coef, terms)] = _radial_terms(f, rows, most=0)
     if coef is None:
         return terms
     held = len(coef) + (0 if np.shares_memory(terms, f.values) else len(terms))
@@ -199,8 +283,11 @@ def _radial_multiplier_blocks(f: CubeFunction, rows, points=None):
     tiles of `core.BLOCK` * 8 bytes per row: each holds the rows at the next
     `core.BLOCK` consecutive points of a real result, or half as many of a
     complex one, the width of one block of the pointwise DP.  `points` is 2^n
-    (the default) or 2^{n-1}, for the half cube x < 2^{n-1}, which the engine
-    then works on alone (`_radial_terms`).
+    (the default) or 2^{n-1}, for the half cube x < 2^{n-1}.  The engine
+    folds its terms onto sub-cubes when they do not fit whole
+    (`_radial_terms`), and the tiles walk the sub-cubes in point order, a
+    tile never spanning two; the bits then differ from the whole result's
+    by a few ulp.
 
     A tile is valid until the next one is drawn, and the consumer may
     overwrite it: no tile is a view of f.  When f has fewer non-zero levels
@@ -208,14 +295,19 @@ def _radial_multiplier_blocks(f: CubeFunction, rows, points=None):
     draw), each tile is formed from the level projections as it is asked for
     (`_product`, as the whole result is), into one buffer that every tile
     reuses, so the (m, points) result is never held; otherwise the tiles are
-    views of it.
+    views of the terms.  No reference to f is kept here, so a caller that
+    lets go of f frees its spectrum once the last terms are made.
     """
-    coef, terms = _radial_terms(f, rows, points)
-    width = min(terms.shape[1], core.BLOCK * 8 // terms.itemsize)
-    tile = None if coef is None else np.empty((len(coef), width), dtype=terms.dtype)
-    for start in range(0, terms.shape[1], width):
-        block = terms[:, start:start + width]
-        yield block if coef is None else _product(coef, block, tile[:, :block.shape[1]])
+    subcubes = _radial_terms(f, rows, points)
+    del f
+    tile = None
+    for coef, terms in subcubes:
+        width = min(terms.shape[1], core.BLOCK * 8 // terms.itemsize)
+        if coef is not None and tile is None:
+            tile = np.empty((len(coef), width), dtype=terms.dtype)
+        for start in range(0, terms.shape[1], width):
+            block = terms[:, start:start + width]
+            yield block if coef is None else _product(coef, block, tile[:, :block.shape[1]])
 
 
 def _kraw_rows(n: int, radii) -> np.ndarray:

@@ -279,12 +279,13 @@ def test_result_above_physical_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_preflight_counts_the_input(tmp_path, capsys, monkeypatch):
-    # 9 x 2^15 complex level projections alone: f's 2^16 complex values and
-    # its popcounts take the estimate past this budget
-    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 9 * 2**15 * 16)
+    # 9 x 2^12 complex level projections alone, the terms of the most-folded
+    # sub-cubes: f's 2^16 complex values and its popcounts take the estimate
+    # past this budget at every fold
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 9 * 2**12 * 16)
     code = main(["half-spectrum", "--n", "16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
     assert code == 2
-    assert "5832704 bytes, more than the 4718592 bytes" in capsys.readouterr().err
+    assert "1703936 bytes, more than the 589824 bytes" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -294,16 +295,33 @@ def test_half_spectrum_refusal_draws_nothing(tmp_path, capsys, monkeypatch):
     def draw(n, rng):
         raise AssertionError("drew an input")
 
-    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 9 * 2**15 * 16)
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 9 * 2**12 * 16)
     monkeypatch.setattr(experiments, "random_halfspectrum_function", draw)
     code = main(["half-spectrum", "--n", "16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
     assert code == 2
-    assert "5832704 bytes, more than the 4718592 bytes" in capsys.readouterr().err
+    assert "1703936 bytes, more than the 589824 bytes" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
     # a budget equal to the estimate lets the same command reach the draw
-    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 5832704)
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 1703936)
     with pytest.raises(AssertionError, match="drew an input"):
         main(["half-spectrum", "--n", "16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
+
+
+def test_half_spectrum_checks_every_n_before_any_draw(tmp_path, capsys, monkeypatch):
+    # n = 6 fits, n = 16 fits at no fold: the command refuses before it
+    # draws for n = 6, and writes no report
+    calls = []
+    draw = experiments.random_halfspectrum_function
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 1703935)
+    monkeypatch.setattr(experiments, "random_halfspectrum_function",
+                        lambda n, rng: calls.append(n) or draw(n, rng))
+    code = main(["half-spectrum", "--n", "6,16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "1703936 bytes, more than the 1703935 bytes" in capsys.readouterr().err
+    assert not calls and not list(tmp_path.iterdir())
+    # n = 6 alone runs under the same budget
+    assert main(["half-spectrum", "--n", "6", "--r", "2", "--trials", "1", "--out", str(tmp_path)]) == 0
+    assert calls == [6]
 
 
 def test_kraw_table_bad_n_writes_nothing(tmp_path, capsys):

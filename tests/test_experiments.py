@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -378,6 +379,66 @@ def test_halfspectrum_support_and_norm():
     assert not f.values[popcounts(n) > n / 2].any()
 
 
+def _sum_expression_draw(n, rng):
+    """The half-spectrum draw as one expression over whole arrays: the
+    oracle for the draw made in place."""
+    size = 1 << n
+    spec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    spec[core.popcounts(n) > n // 2] = 0.0
+    spec /= np.sqrt((np.abs(spec) ** 2).sum())
+    return spec
+
+
+def test_halfspectrum_draw_keeps_its_bits():
+    # consecutive draws from one generator, over seeds, at every n to 18
+    for n in range(1, 19):
+        for seed in (0, 1, 2024):
+            drawn, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                got = random_halfspectrum_function(n, drawn).values
+                assert got.dtype == np.complex128
+                assert np.array_equal(got.view(np.uint64), _sum_expression_draw(n, oracle).view(np.uint64))
+
+
+def test_halfspectrum_draw_holds_one_array():
+    # the complex result and chunk buffers: at most 26 bytes a point, where
+    # the sum expression peaks at 34 (two float64 draws, their complex sum,
+    # the product with 1j and the |v|^2 temporary)
+    n = 16
+    random_halfspectrum_function(n, np.random.default_rng(3))     # fill the popcount cache
+    tracemalloc.start()
+    try:
+        random_halfspectrum_function(n, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * (1 << n)
+
+
+def test_halfspectrum_scan_lets_each_draw_go(monkeypatch):
+    # each draw is held by the engine alone, which drops it once its terms
+    # are made: the draw's values are freed before the DP's first block
+    draw, dp = experiments.random_halfspectrum_function, experiments.vr_pointwise_values
+    drawn, seen = [], []
+
+    def spy_draw(n, rng):
+        f = draw(n, rng)
+        drawn.append(weakref.ref(f.values))
+        return f
+
+    def spy_dp(*args, **kwargs):
+        if len(seen) < len(drawn):
+            seen.append(drawn[-1]() is None)
+        return dp(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "random_halfspectrum_function", spy_draw)
+    monkeypatch.setattr(experiments, "vr_pointwise_values", spy_dp)
+    n = 12
+    assert experiments.halfspectrum_fold_bits(n) == 1
+    proposition_halfspectrum_scan(n, [2.0, 3.0], trials=3, seed=5)
+    assert seen == [True] * 3
+
+
 def test_halfspectrum_scan_consistency():
     n, r = 8, 3.0
     [rec] = proposition_halfspectrum_scan(n, [r], trials=20, seed=7)
@@ -403,7 +464,6 @@ def test_halfspectrum_preflight_matches_engine(monkeypatch, n):
         check(n, m, levels, points, dtype, side)
 
     monkeypatch.setattr(operators, "_check_memory", spy)
-    monkeypatch.setattr(experiments, "_check_memory", spy)
     proposition_halfspectrum_scan(n, [2.0], trials=1, seed=3)
     assert len(calls) == 2 and calls[0] == calls[1]
 

@@ -235,7 +235,7 @@ def test_folded_blocks_match_first_half(n, monkeypatch):
     rows = build_table(n).float
     routes = set()
     for f in _fold_cases(n, np.random.default_rng(19 + n)):
-        coef, terms = operators._radial_terms(f, rows, half)
+        [(coef, terms)] = operators._radial_terms(f, rows, half)
         route = "per-row" if coef is None else "projection" if len(terms) > 1 else f.side
         routes.add((route, f.values.dtype.kind))
         full = apply_radial_multipliers(f, rows)
@@ -250,6 +250,102 @@ def test_folded_blocks_match_first_half(n, monkeypatch):
         # three routes, each real and complex; a single-level spectral input
         # takes the projection route with its one projection, labelled apart
         assert len(routes) == 8
+
+
+def _estimate(n, m, levels, points, dtype, side):
+    """The bytes `_check_memory` counts: the terms on `points` points, f with
+    a physical f's spectrum copy, and the popcounts."""
+    count, copies = min(len(levels), m), 2 if side == "physical" else 1
+    return (count * points + copies * (1 << n)) * np.dtype(dtype).itemsize + (1 << n)
+
+
+def _fold_budget(f, rows, points, bits, monkeypatch):
+    """The PHYSICAL_MEMORY at which the engine's terms for f just fit on
+    sub-cubes of 2^{n-bits} points, from the arguments of its estimate."""
+    calls, check = [], operators._check_memory
+    with monkeypatch.context() as m:
+        m.setattr(operators, "PHYSICAL_MEMORY", None)
+        m.setattr(operators, "_check_memory", lambda *args: calls.append(args) or check(*args))
+        next(operators._radial_terms(f, rows, points))
+    n, m, levels, _, dtype, side = calls[0]
+    return _estimate(n, m, levels, (1 << n) >> bits, dtype, side)
+
+
+@pytest.mark.parametrize("n", [3, 9, 14])
+def test_sub_cube_folds_match_the_least_fold(n, monkeypatch):
+    # a budget at the estimate of 2^{n-b}-point sub-cubes folds the terms
+    # by b bits, the fewest that fit.  The tiles walk the sub-cubes in point
+    # order, none spanning two, and match the unfolded (whole cube) or 1-bit
+    # (half cube) tiles to the FWHT bound of
+    # test_folded_blocks_match_first_half, 4 eps ||row||; the ratios agree
+    # to a few ulp.  Both routes, real and complex, on both sides; tiles of
+    # 7 or 3 points, or at n = 14 of 256 or 128, shorter than a sub-cube
+    monkeypatch.setattr(core, "BLOCK", 7 if n < 14 else 256)
+    size = 1 << n
+    rng = np.random.default_rng(27 + n)
+    rows = build_table(n).float
+    top = int(np.flatnonzero(popcounts(n) == n // 2 + 1)[0])
+    pair = character(n, 0).values + character(n, top).values
+    draw = random_halfspectrum_function(n, rng)
+    cases = [
+        CubeFunction(n, rng.standard_normal(size)),                     # per-row
+        rand_fn(n, rng),
+        CubeFunction(n, rng.standard_normal(size), SPECTRAL),
+        CubeFunction(n, rng.standard_normal(size) + 1j * rng.standard_normal(size), SPECTRAL),
+        CubeFunction(n, pair),                                          # projection
+        CubeFunction(n, pair * (1 - 2j)),
+        CubeFunction(n, draw.values.real.copy(), SPECTRAL),
+        draw,
+    ]
+    routes = set()
+    for f in cases:
+        coef, _ = next(operators._radial_terms(f, rows))
+        routes.add((coef is None, f.values.dtype.kind, f.side))
+        for points, radii in ((size, [0, 1, n]), (size >> 1, range(n + 1))):
+            least = [b.copy() for b in operators._radial_multiplier_blocks(f, rows, points)]
+            tol = 4 * np.finfo(float).eps * np.linalg.norm(np.hstack(least), axis=1, keepdims=True)
+            ratios = variation_norm_ratio(f, radii, [1.0, 2.0, 3.0])
+            for bits in range(int(points < size) + 1, 4):
+                monkeypatch.setattr(operators, "PHYSICAL_MEMORY",
+                                    _fold_budget(f, rows, points, bits, monkeypatch))
+                blocks = [b.copy() for b in operators._radial_multiplier_blocks(f, rows, points)]
+                sub = size >> bits
+                starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+                assert all(s // sub == (s + b.shape[1] - 1) // sub for s, b in zip(starts, blocks))
+                folded = np.hstack(blocks)
+                assert folded.shape == (n + 1, points)
+                assert (np.abs(folded - np.hstack(least)) <= tol).all(), (f.side, points, bits)
+                monkeypatch.setattr(operators, "PHYSICAL_MEMORY", _fold_budget(
+                    f, operators._kraw_rows(n, radii), points, bits, monkeypatch))
+                assert variation_norm_ratio(f, radii, [1.0, 2.0, 3.0]) == pytest.approx(
+                    ratios, rel=8 * np.finfo(float).eps)
+                monkeypatch.setattr(operators, "PHYSICAL_MEMORY", None)
+    assert len(routes) == 8
+
+
+def test_fold_bits_takes_the_fewest_that_fit(monkeypatch):
+    # the budget between two estimates picks the larger sub-cube that fits;
+    # none fits below the estimate at MAX_FOLD_BITS (or n), whose refusal
+    # is raised; the whole result (most = 0) is never folded
+    for n, m, levels, side in ((12, 13, range(7), SPECTRAL), (12, 13, range(13), "physical"),
+                               (3, 4, range(2), SPECTRAL)):
+        most = min(n, operators.MAX_FOLD_BITS)
+        need = [_estimate(n, m, levels, (1 << n) >> b, np.complex128, side) for b in range(most + 1)]
+        for points in (1 << n, 1 << (n - 1)):
+            least = int(points < 1 << n)
+            monkeypatch.setattr(operators, "PHYSICAL_MEMORY", None)
+            assert operators._fold_bits(n, m, levels, points, np.complex128, side) == least
+            for b in range(least, most + 1):
+                budgets = [need[b]] + ([need[b - 1] - 1] if b > least else [10 ** 12])
+                for budget in budgets:
+                    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", budget)
+                    assert operators._fold_bits(n, m, levels, points, np.complex128, side) == b
+            monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need[most] - 1)
+            with pytest.raises(MemoryError, match=f"need {need[most]} bytes"):
+                operators._fold_bits(n, m, levels, points, np.complex128, side)
+        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need[0] - 1)
+        with pytest.raises(MemoryError, match=f"need {need[0]} bytes"):
+            operators._fold_bits(n, m, levels, 1 << n, np.complex128, side, most=0)
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -299,7 +395,9 @@ def test_folded_engine_rejects_other_widths():
 
 def test_folded_engine_holds_half_the_projections(monkeypatch):
     # PHYSICAL_MEMORY between the half-cube and the full estimate: the
-    # antipodal ratio runs, the full stack is refused before it is allocated
+    # antipodal ratio runs, the full stack is refused before it is allocated.
+    # Below the half-cube estimate the ratio folds onto quarter cubes, and
+    # below the estimate of the most-folded sub-cubes it is refused
     n = 8
     rng = np.random.default_rng(20)
     cases = [
@@ -310,12 +408,16 @@ def test_folded_engine_holds_half_the_projections(monkeypatch):
         # f with a physical f's spectrum copy, and the popcounts, beside the result
         inputs = copies * (1 << n) * 16 + (1 << n)
         half, full = count * (1 << (n - 1)) * 16 + inputs, count * (1 << n) * 16 + inputs
+        least = count * (1 << (n - operators.MAX_FOLD_BITS)) * 16 + inputs
         monkeypatch.setattr(operators, "PHYSICAL_MEMORY", half)
-        assert variation_norm_ratio(f, range(n + 1), 2.0) > 0
+        ratio = variation_norm_ratio(f, range(n + 1), 2.0)
+        assert ratio > 0
         with pytest.raises(MemoryError, match=f"{full} bytes, more than the {half} bytes"):
             spherical_mean_stack(f, range(n + 1))
         monkeypatch.setattr(operators, "PHYSICAL_MEMORY", half - 1)
-        with pytest.raises(MemoryError, match=f"{half} bytes, more than the"):
+        assert variation_norm_ratio(f, range(n + 1), 2.0) == pytest.approx(ratio, rel=1e-14)
+        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", least - 1)
+        with pytest.raises(MemoryError, match=f"{least} bytes, more than the"):
             variation_norm_ratio(f, range(n + 1), 2.0)
 
 
@@ -330,7 +432,7 @@ def test_witness_level_detection_holds_one_copy_of_f():
     popcounts.cache_clear()
     tracemalloc.start()
     try:
-        coef, terms = operators._radial_terms(f, rows, 1 << (n - 1))
+        [(coef, terms)] = operators._radial_terms(f, rows, 1 << (n - 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -360,7 +462,7 @@ def test_signed_characters_skip_the_spectrum(n, monkeypatch):
             for block, points in itertools.product((7, core.BLOCK), (1 << n, 1 << (n - 1))):
                 with monkeypatch.context() as m:
                     m.setattr(core, "BLOCK", block)    # 7: several slabs per block
-                    coef, terms = operators._radial_terms(f, rows, points)
+                    [(coef, terms)] = operators._radial_terms(f, rows, points)
                 assert coef.shape == (n + 1, 1) and np.array_equal(coef[:, 0], rows[:, y.bit_count()])
                 assert np.shares_memory(terms, f.values) and terms.shape == (1, points)
             assert not calls
@@ -396,7 +498,7 @@ def test_other_inputs_take_the_transform_route(monkeypatch):
         assert operators._signed_character(values) is None
         calls = _count_fwht(monkeypatch)
         with np.errstate(invalid="ignore"):     # inf - inf in the transform
-            operators._radial_terms(CubeFunction(n, values), rows)
+            list(operators._radial_terms(CubeFunction(n, values), rows))
         assert calls        # the forward transform, then one per projection or row
     # flipping any one point of any block is seen, with one-value slabs too
     monkeypatch.setattr(core, "BLOCK", 1)
@@ -419,11 +521,11 @@ def test_one_level_tiles_are_products(monkeypatch):
     one_level = np.where(popcounts(n) == 4, rng.standard_normal(1 << n), 0.0)
     for f in (character(n, 2**9 - 1), CubeFunction(n, character(n, 7).values * (1 - 2j)),
               CubeFunction(n, one_level, SPECTRAL), CubeFunction(n, one_level * (2 + 1j), SPECTRAL)):
-        coef, terms = operators._radial_terms(f, rows)
+        [(coef, terms)] = operators._radial_terms(f, rows)
         assert coef.shape == (n + 1, 1)
         matmul = np.matmul
         with monkeypatch.context() as m:
-            m.setattr(operators, "_radial_terms", lambda *args: (coef, terms))
+            m.setattr(operators, "_radial_terms", lambda *args: [(coef, terms)])
             m.setattr(np, "matmul", None)
             blocks = [b.copy() for b in operators._radial_multiplier_blocks(f, rows)]
         tiles, product = np.hstack(blocks), matmul(coef, terms)
@@ -454,7 +556,7 @@ def test_single_level_result_equals_its_tiles(n, monkeypatch):
     monkeypatch.setattr(core, "BLOCK", 7)
     rows, cases = _single_level_cases(n)
     for f in cases:
-        assert operators._radial_terms(f, rows)[0].shape == (n + 1, 1)
+        assert next(operators._radial_terms(f, rows))[0].shape == (n + 1, 1)
         tiles = np.hstack([b.copy() for b in operators._radial_multiplier_blocks(f, rows)])
         assert apply_radial_multipliers(f, rows).tobytes() == tiles.tobytes()
 
@@ -492,10 +594,10 @@ def test_one_column_product_calls_no_matmul(monkeypatch):
 
     rows, cases = _single_level_cases(10)
     for f in cases:
-        coef, terms = operators._radial_terms(f, rows)
+        [(coef, terms)] = operators._radial_terms(f, rows)
         expected = apply_radial_multipliers(f, rows)
         with monkeypatch.context() as m:
-            m.setattr(operators, "_radial_terms", lambda *args: (coef, terms.view(Spy)))
+            m.setattr(operators, "_radial_terms", lambda *args, **kwargs: [(coef, terms.view(Spy))])
             m.setattr(np, "matmul", None)
             calls.clear()
             assert apply_radial_multipliers(f, rows).tobytes() == expected.tobytes()
