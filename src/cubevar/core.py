@@ -87,13 +87,15 @@ class CubeFunction:
 
     def norm(self, p: float = 2) -> float:
         """(sum |v|^p)^{1/p} over the values for p >= 1, or max |v| at p = inf,
-        with the sum of `abs_power_sum`."""
+        with the sum of `abs_power_sum`; the root at p = 2 is `np.sqrt`,
+        correctly rounded where `** 0.5` may not be."""
         if not p >= 1:
             raise ValueError(f"norm exponent p must be >= 1 or inf, got {p}")
         if p == math.inf:
             return float(np.max([np.abs(self.values[start:start + CHUNK]).max()
                                  for start in range(0, self.values.size, CHUNK)]))
-        return float(abs_power_sum(self.values, p) ** (1.0 / p))
+        total = abs_power_sum(self.values, p)
+        return float(np.sqrt(total) if p == 2 else total ** (1.0 / p))
 
 
 def abs_power_sum(values: np.ndarray, p: float = 2):

@@ -270,9 +270,8 @@ def random_halfspectrum_function(n: int, rng) -> CubeFunction:
     imaginary parts are drawn `CHUNK` values at a time through one float64
     buffer (the generator's stream does not depend on how it is split) into
     the one complex array, the levels above are zeroed chunk by chunk, and
-    the sum is `abs_power_sum`'s (not `CubeFunction.norm`, whose `** 0.5`
-    is not `np.sqrt`).  So the draw holds 16 bytes a point and a few
-    chunks."""
+    the sum is `abs_power_sum`'s.  So the draw holds 16 bytes a point and a
+    few chunks."""
     size = 1 << n
     pc = popcounts(n)
     top = len(halfspectrum_levels(n))

@@ -133,31 +133,35 @@ def _radial_terms(f: CubeFunction, rows, points=None, most: int = MAX_FOLD_BITS)
 
     `rows` is a real (m, n+1) matrix of multipliers indexed by Walsh level and
     f may be on either side.  `points` is 2^n (the default) or 2^{n-1}, the
-    half cube.  Every inverse transform is folded by b bits (`_fold_bits`,
-    the fewest that fit, at most `most`; at least 1 on the half cube) onto
-    sub-cubes of 2^{n-b} points: for x = c 2^{n-b} + x' and v split into
-    the parts v(y_hi, .) of its top b bits,
+    half cube.  Three routes, the cheapest that serves f:
+
+    - Signed character: a physical f = c chi_y (c finite and non-zero;
+      every witness), confirmed blockwise (`_signed_character`), is read in
+      place: coef is the (m, 1) column of level |y| and terms a view of f.
+      Traffic: one read of f; no spectrum, transform, popcount or fold.
+    - Level projections: an f with fewer non-zero levels than there are
+      rows (every half-spectrum draw) has each inverse-transformed once;
+      coef is the (m, levels) columns of the rows and the result coef x
+      terms (`_product`).  Traffic: a masked copy and a transform per level.
+    - Per-row: every other f, and every one-row call, which does not look
+      for f's levels.  coef is None and terms the (m, points) result itself,
+      float64 when f.values are.  Traffic: a multiplied copy and a transform
+      per row.
+
+    Off the first route the levels are read off the spectrum: a physical
+    f's transformed copy, or a spectral-side f where it is.  Every inverse
+    transform is folded by b bits (`_fold_bits`, the fewest that fit, at
+    most `most`; at least 1 on the half cube) onto sub-cubes of 2^{n-b}
+    points: for x = c 2^{n-b} + x' and v split into the parts v(y_hi, .) of
+    its top b bits,
     (H_{2^n} v)(x) = (H_{2^{n-b}} sum_{y_hi} (-1)^{|c & y_hi|} v(y_hi, .))(x'),
     and the spectral point (y_hi, y') has level |y_hi| + |y'|.  Every
     sub-cube refills the same terms buffer, valid until the next is asked
-    for; with b = 0, or b = 1 on the half cube, there is one.
-
-    When f has fewer non-zero levels than there are rows, each non-zero
-    level projection is inverse-transformed once and the result is coef x
-    terms (`_product`), with coef the (m, levels) columns of the rows;
-    otherwise each row takes one inverse transform, coef is None and terms
-    is the (m, points) result itself, float64 when f.values are.  A
-    physical-side f with a single non-zero level is its own level
-    projection: terms is a view of f itself, with no transform back and no
-    fold.  A physical f = c chi_y (c finite and non-zero; every witness) is
-    confirmed blockwise (`_signed_character`) and takes that route, with
-    coef the (m, 1) column of level |y|, before any spectrum, transform or
-    popcount is made; any other f has its levels read off its spectrum.  A
-    spectral-side f is read where it is, not copied.  No reference to f or
-    its spectrum is kept once the last terms are made.  When the terms, f,
-    the spectrum copy of a physical f and the popcounts would exceed
-    `PHYSICAL_MEMORY` at every b, MemoryError is raised before the terms are
-    allocated (`_check_memory`).
+    for; with b = 0, or b = 1 on the half cube, there is one.  No reference
+    to f or its spectrum is kept once the last terms are made.  When the
+    terms, f, the spectrum copy of a physical f and the popcounts would
+    exceed `PHYSICAL_MEMORY` at every b, MemoryError is raised before the
+    terms are allocated (`_check_memory`).
     """
     n = f.n
     rows = np.asarray(rows, dtype=np.float64)
@@ -182,9 +186,6 @@ def _radial_terms(f: CubeFunction, rows, points=None, most: int = MAX_FOLD_BITS)
         levels = np.flatnonzero(np.bincount(pc[spec != 0], minlength=n + 1))
     else:        # one row takes the per-row route whatever levels f has, as if it had all
         levels = range(n + 1)
-    if len(levels) == 1 < len(rows) and f.side == PHYSICAL:
-        yield rows[:, levels], f.values[None, :points]
-        return
     rows = rows * scale
     bits = _fold_bits(n, len(rows), levels, points, spec.dtype, f.side, most)
     sub = size >> bits
@@ -268,7 +269,7 @@ def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
     not folded.  The whole result is held, so its terms are not folded; a
     result formed from coef x terms is estimated (`_check_memory`) before
     it is formed, as m rows beside the level projections it is formed from,
-    or beside none when the terms are f itself.
+    or beside none for a signed character, whose terms are f itself.
     """
     [(coef, terms)] = _radial_terms(f, rows, most=0)
     if coef is None:
@@ -290,9 +291,9 @@ def _radial_multiplier_blocks(f: CubeFunction, rows, points=None):
     by a few ulp.
 
     A tile is valid until the next one is drawn, and the consumer may
-    overwrite it: no tile is a view of f.  When f has fewer non-zero levels
-    than there are rows (every character, every spectral-side half-spectrum
-    draw), each tile is formed from the level projections as it is asked for
+    overwrite it: no tile is a view of f.  For a signed character, and for
+    an f with fewer non-zero levels than there are rows (every half-spectrum
+    draw), each tile is formed from the terms as it is asked for
     (`_product`, as the whole result is), into one buffer that every tile
     reuses, so the (m, points) result is never held; otherwise the tiles are
     views of the terms.  No reference to f is kept here, so a caller that

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cubevar import cli, experiments, operators
@@ -384,3 +385,24 @@ def test_non_finite_record_exits_2_and_writes_nothing(tmp_path, capsys, monkeypa
     assert main(["phi-psi", "--n", "2", "--out", str(out), "--format", fmt]) == 2
     assert "JSON compliant" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, routes", [
+    ("counterexample --kind truncated --n 10 --r 1,2,3", {"signed character"}),
+    ("half-spectrum --n 8 --r 2,3 --trials 2", {"level projections"}),
+    ("verify --n 6 --trials 2", {"per-row", "signed character"}),   # ones = chi_0
+], ids=lambda arg: arg.split()[0] if isinstance(arg, str) else None)
+def test_commands_take_their_engine_routes(tmp_path, capsys, monkeypatch, command, routes):
+    # each benchmarked command reaches the engine by the routes it measures:
+    # moving one to another route would change what its workload times
+    taken, terms_of = set(), operators._radial_terms
+
+    def spy(f, *args, **kwargs):
+        for coef, terms in terms_of(f, *args, **kwargs):
+            taken.add("per-row" if coef is None else "signed character"
+                      if np.shares_memory(terms, f.values) else "level projections")
+            yield coef, terms
+
+    monkeypatch.setattr(operators, "_radial_terms", spy)
+    assert main([*command.split(), "--out", str(tmp_path)]) == 0
+    assert taken == routes

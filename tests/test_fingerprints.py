@@ -5,7 +5,8 @@ recorded the bytes beside the ones running now, since another BLAS may round
 a matrix product differently.
 
 After a change that is meant to move report bytes, rewrite the record with
-`PYTHONPATH=src python tests/test_fingerprints.py`.
+`PYTHONPATH=src python tests/test_fingerprints.py`, which prints every file
+whose digest changed with its command and the old and new digests.
 """
 import hashlib
 import json
@@ -46,8 +47,13 @@ def test_report_bytes_match_record(name, tmp_path, capsys):
 
 
 if __name__ == "__main__":
+    changed = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, entry in enumerate(RECORD["commands"].values()):
-            entry["sha256"] = run(entry["command"], pathlib.Path(tmp, str(i)))
+            old, entry["sha256"] = entry["sha256"], run(entry["command"], pathlib.Path(tmp, str(i)))
+            changed += [f"{entry['command']}: {file} {old.get(file)} -> {entry['sha256'].get(file)}"
+                        for file in sorted(old.keys() | entry["sha256"].keys())
+                        if old.get(file) != entry["sha256"].get(file)]
     RECORD.update(versions())
     RECORD_PATH.write_text(json.dumps(RECORD, indent=1) + "\n")
+    print("changed digests:", *changed or ["none"], sep="\n")

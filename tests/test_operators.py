@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cubevar import core, operators
+from cubevar import core, experiments, operators
 from cubevar import (
     CubeFunction,
     apply_radial_multipliers,
@@ -423,9 +423,9 @@ def test_folded_engine_holds_half_the_projections(monkeypatch):
 
 def test_witness_level_detection_holds_one_copy_of_f():
     # a single-level physical f that is no signed character (two characters
-    # of one weight) on the half cube: its spectrum (8 B/pt), the popcounts
-    # (1 B/pt) and the nonzero mask (1 B/pt), with no 2^n FWHT scratch or
-    # popcount index array beside them
+    # of one weight) on the half cube: its spectrum (8 B/pt) and the
+    # popcounts (1 B/pt) beside its one level projection (4 B/pt) and that
+    # transform's scratch, with no 2^n FWHT scratch or popcount index array
     n = 18
     f = CubeFunction(n, character(n, 2**17 - 1).values + character(n, 2**18 - 2).values)
     rows = operators._kraw_rows(n, range(n + 1))
@@ -436,8 +436,32 @@ def test_witness_level_detection_holds_one_copy_of_f():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert coef.shape == (n + 1, 1) and np.shares_memory(terms, f.values)
-    assert peak <= 10 * (1 << n) + core.FWHT_SCRATCH * 8 + 65536
+    assert coef.shape == (n + 1, 1) and terms.shape == (1, 1 << (n - 1))
+    assert not np.shares_memory(terms, f.values)
+    assert peak <= 13 * (1 << n) + core.FWHT_SCRATCH * 8 + 65536
+
+
+def test_single_level_ratio_holds_no_spectrum_in_the_dp(monkeypatch):
+    # once the engine has made the level projection of a single-level f
+    # that is no signed character, its spectrum copy is gone: when the DP
+    # first runs, no traced block is as large as f (n = 20, where a tile and
+    # the half-cube projection are smaller than 2^n float64 values)
+    n = 20
+    f = CubeFunction(n, character(n, 2**19 - 1).values + character(n, 2**20 - 2).values)
+    largest, dp = [], experiments.vr_pointwise_values
+
+    def first_dp(tile, *args, **kwargs):
+        if not largest:
+            largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
+        return dp(tile, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "vr_pointwise_values", first_dp)
+    tracemalloc.start()
+    try:
+        assert variation_norm_ratio(f, range(n + 1), 2.0) > 0
+    finally:
+        tracemalloc.stop()
+    assert 0 < largest[0] < (1 << n) * 8
 
 
 def _count_fwht(monkeypatch):
@@ -605,18 +629,28 @@ def test_one_column_product_calls_no_matmul(monkeypatch):
 
 
 def test_single_level_result_above_physical_memory_raises(monkeypatch):
-    # a single-level whole result is estimated before it is formed, as the
-    # per-row route's (n+1, 2^n) result with f, a spectrum copy and the
-    # popcounts; the tile stream never holds it, so the ratio still runs
+    # a signed character's whole result is estimated before it is formed,
+    # as the per-row route's (n+1, 2^n) result with f, a spectrum copy and
+    # the popcounts; its tile stream never holds it, so the ratio still
+    # runs.  Two characters of one weight take the projection route, whose
+    # one projection, f, its spectrum copy and the popcounts do not fit: at
+    # b = 0 for the whole result, at b = MAX_FOLD_BITS for the ratio
     n = 16
     need = (n + 1 + 2) * (1 << n) * 8 + (1 << n)
     monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 1 << 20)
     chi = character(n, 2**15 - 1)
-    for f in (chi, CubeFunction(n, chi.values + character(n, 2**16 - 2).values)):
-        with pytest.raises(MemoryError, match=f"need {need} bytes, more than the {1 << 20} bytes"):
-            spherical_mean_stack(f, range(n + 1))
-        assert variation_norm_ratio(f, range(n + 1), 2.0) > 0
+    with pytest.raises(MemoryError, match=f"need {need} bytes, more than the {1 << 20} bytes"):
+        spherical_mean_stack(chi, range(n + 1))
+    assert variation_norm_ratio(chi, range(n + 1), 2.0) > 0
     assert need == 10027008
+    pair = CubeFunction(n, chi.values + character(n, 2**16 - 2).values)
+    whole = (1 + 2) * (1 << n) * 8 + (1 << n)
+    folded = ((1 << (n - operators.MAX_FOLD_BITS)) + 2 * (1 << n)) * 8 + (1 << n)
+    with pytest.raises(MemoryError, match=f"need {whole} bytes, more than the {1 << 20} bytes"):
+        spherical_mean_stack(pair, range(n + 1))
+    with pytest.raises(MemoryError, match=f"need {folded} bytes, more than the {1 << 20} bytes"):
+        variation_norm_ratio(pair, range(n + 1), 2.0)
+    assert (whole, folded) == (1638400, 1146880)
 
 
 def test_noise_binomial_weights_sum_to_one():
