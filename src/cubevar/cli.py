@@ -9,9 +9,10 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
-from .checks import CHECKS, run_check
+from . import operators
+from .checks import CHECKS, battery_bytes, run_check
 from .core import check_dim
 from .krawtchouk import bound_scan_a, bound_scan_b_c, build_table, estimate_exp_constant
 from .experiments import (
@@ -30,47 +31,23 @@ from .experiments import (
 
 
 def _list_of(parse):
-    return lambda text: [parse(v) for v in text.split(",")]
+    """A flag's `type`: a comma list of `parse` values, named in a usage error."""
+    def parse_list(text):
+        return [parse(v) for v in text.split(",")]
+    parse_list.__name__ = f"{parse.__name__} list"
+    return parse_list
 
 
-#: Config key -> the parser of its value, in a config file or a flag.
-CONFIG_PARSERS = {"n_list": _list_of(int), "r_list": _list_of(float), "q": int,
-                  "alpha": float, "seed": int, "trials": int}
-#: Command-line flag -> the config key it overrides.
-FLAG_KEYS = {"n": "n_list", "r": "r_list", "q": "q", "seed": "seed", "trials": "trials"}
-
-
-def parse_config(path) -> ExperimentConfig:
-    """Parse a plain `key = value` file (# comments); unknown keys are errors."""
-    raw = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if key not in CONFIG_PARSERS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = value.strip()
-    return ExperimentConfig(**{key: CONFIG_PARSERS[key](value) for key, value in raw.items()})
-
-
-def _merge_config(args) -> ExperimentConfig:
-    cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    kwargs = asdict(cfg)
-    for flag, key in FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        if value not in (None, ""):
-            kwargs[key] = CONFIG_PARSERS[key](value)
-    return ExperimentConfig(**kwargs)
+def _config(args) -> ExperimentConfig:
+    """The ExperimentConfig of the flags given, each under the field its dest
+    names; every other field keeps its default."""
+    return ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                               if getattr(args, f.name, None) is not None})
 
 
 def _cube_config(args) -> ExperimentConfig:
-    """`_merge_config`, with every dimension checked for 2^n-point cube functions."""
-    cfg = _merge_config(args)
+    """`_config`, with every dimension checked for 2^n-point cube functions."""
+    cfg = _config(args)
     for n in cfg.n_list:
         check_dim(n)
     return cfg
@@ -107,6 +84,7 @@ def cmd_verify(args) -> int:
         "dyadic_partition_failures": {"scales": range(7)},
         "antipodal_max_violation": {"dims": [n], "seed": seed},
     }
+    operators._check_bytes(battery_bytes(n), f"the check battery's arrays at n={n}")
     report = ExperimentReport("verify", asdict(cfg))
     failed = []
     for name in CHECKS:
@@ -123,7 +101,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kraw_table(args) -> int:
-    cfg = _merge_config(args)
+    cfg = _config(args)
     tables = [build_table(n) for n in cfg.n_list]     # a bad n writes no file
     os.makedirs(args.out, exist_ok=True)
     status = 0
@@ -149,7 +127,7 @@ def cmd_kraw_table(args) -> int:
 
 def cmd_counterexample(args) -> int:
     # The corollary witness is read off the multiplier sequence alone.
-    cfg = _merge_config(args) if args.kind == "corollary" else _cube_config(args)
+    cfg = _config(args) if args.kind == "corollary" else _cube_config(args)
     report = ExperimentReport(f"counterexample-{args.kind}", asdict(cfg))
     for n in cfg.n_list:
         if args.kind == "all-ones":
@@ -165,7 +143,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_parity_scan(args) -> int:
-    cfg = _merge_config(args)
+    cfg = _config(args)
     report = ExperimentReport("parity-scan", asdict(cfg))
     parities = (0, 1) if cfg.q is None else (cfg.q,)
     report.records.extend(parity_character_scan(n, r, q)
@@ -175,7 +153,7 @@ def cmd_parity_scan(args) -> int:
 
 
 def cmd_phi_psi(args) -> int:
-    cfg = _merge_config(args)
+    cfg = _config(args)
     report = ExperimentReport("phi-psi", asdict(cfg))
     for n in cfg.n_list:
         report.records.append(phi_scan(n))
@@ -205,21 +183,23 @@ COMMANDS = {
 }
 
 
-#: Per-command flags beyond --n, --config, --out and --format: each command
-#: takes only what it reads, except that counterexample also takes --seed,
-#: unread, because perfbench appends --seed to every command it runs, and
-#: --threads, whose one accepted value is 1 (it runs its n values in order),
-#: because perfbench's witness workload passes --threads 1.
+#: Per-command flags beyond --n, --out and --format: each command takes only
+#: what it reads, except that counterexample also takes --seed, unread,
+#: because perfbench appends --seed to every command it runs, and --threads,
+#: whose one accepted value is 1 (it runs its n values in order), because
+#: perfbench's witness workload passes --threads 1.
 COMMAND_FLAGS = {
     "verify": ("seed", "trials"),
     "kraw-table": (),
-    "counterexample": ("r", "seed", "threads", "kind"),
+    "counterexample": ("r", "alpha", "seed", "threads", "kind"),
     "parity-scan": ("r", "q"),
     "phi-psi": (),
     "half-spectrum": ("r", "seed", "trials"),
 }
 FLAG_ARGS = {
-    "r": {"help": "variation order or comma list"},
+    "r": {"type": _list_of(float), "dest": "r_list", "metavar": "R",
+          "help": "variation order or comma list"},
+    "alpha": {"type": float, "help": "power rule b_n = n^alpha of --kind corollary"},
     "q": {"type": int, "choices": (0, 1), "help": "radius parity"},
     "seed": {"type": int, "help": "64-bit reproducibility seed"},
     "trials": {"type": int, "help": "random trial count"},
@@ -236,10 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--n", help="dimension or comma list of dimensions")
+        p.add_argument("--n", type=_list_of(int), dest="n_list", metavar="N",
+                       help="dimension or comma list of dimensions")
         for flag in COMMAND_FLAGS[name]:
             p.add_argument(f"--{flag}", **FLAG_ARGS[flag])
-        p.add_argument("--config", help="plain key=value config file")
         p.add_argument("--out", default="reports", help="output directory")
         p.add_argument("--format", choices=("json", "csv", "both"), default="both")
     return parser

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from . import core
-from .core import PHYSICAL, CubeFunction, convolve, fwht, popcounts
+from .core import PHYSICAL, SPECTRAL, CubeFunction, convolve, fwht, popcounts
 from .krawtchouk import build_table
 
 try:
@@ -72,8 +72,14 @@ def _check_memory(n: int, m: int, levels, points: int, dtype, side: str) -> None
     size = 1 << n
     count, copies = min(len(levels), m), 2 if side == PHYSICAL else 1
     need = (count * points + copies * size) * np.dtype(dtype).itemsize + size
+    _check_bytes(need, f"{count} x {points} values and f")
+
+
+def _check_bytes(need: int, what: str) -> None:
+    """Raise MemoryError, naming `what` and its estimate, when `need` bytes
+    exceed `PHYSICAL_MEMORY`."""
     if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
-        raise MemoryError(f"{count} x {points} values and f need {need} bytes, more than the "
+        raise MemoryError(f"{what} need {need} bytes, more than the "
                           f"{PHYSICAL_MEMORY} bytes of physical memory")
 
 
@@ -269,13 +275,14 @@ def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
     not folded.  The whole result is held, so its terms are not folded; a
     result formed from coef x terms is estimated (`_check_memory`) before
     it is formed, as m rows beside the level projections it is formed from,
-    or beside none for a signed character, whose terms are f itself.
+    or beside none for a signed character, whose terms are f itself, and
+    beside f once: no spectrum copy is alive on either route by then.
     """
     [(coef, terms)] = _radial_terms(f, rows, most=0)
     if coef is None:
         return terms
     held = len(coef) + (0 if np.shares_memory(terms, f.values) else len(terms))
-    _check_memory(f.n, held, range(held), terms.shape[1], terms.dtype, f.side)
+    _check_memory(f.n, held, range(held), terms.shape[1], terms.dtype, SPECTRAL)
     return _product(coef, terms)
 
 

@@ -1,14 +1,15 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cubevar import cli, experiments, operators
-from cubevar.checks import CHECKS
+from cubevar.checks import CHECKS, battery_bytes
 from cubevar.core import MAX_DIM
-from cubevar.cli import main, parse_config
+from cubevar.cli import main
 from cubevar.experiments import ExperimentConfig, record
 
 KEYS = ["n", "r", "q", "metric", "value", "witness"]
@@ -21,44 +22,6 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_parse_config_empty_defaults(tmp_path):
-    path = tmp_path / "empty.cfg"
-    path.write_text("")
-    cfg = parse_config(path)
-    assert cfg.n_list == [8] and cfg.r_list == [2.0]
-    assert cfg.seed == 0 and cfg.trials == 100
-
-
-def test_parse_config_values_and_comments(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# comment line\n"
-        "n_list = 4, 6\n"
-        "r_list = 1,2,3\n"
-        "seed = 42   # trailing comment\n"
-        "trials = 7\n"
-        "q = 1\n"
-    )
-    cfg = parse_config(path)
-    assert cfg.n_list == [4, 6]
-    assert cfg.r_list == [1.0, 2.0, 3.0]
-    assert cfg.seed == 42 and cfg.trials == 7 and cfg.q == 1
-
-
-def test_parse_config_rejects_unknown_key(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("mystery = 3\n")
-    with pytest.raises(ValueError, match="bad.cfg:1"):
-        parse_config(path)
-
-
-def test_parse_config_rejects_bad_alpha(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("alpha = 1.5\n")
-    with pytest.raises(ValueError):
-        parse_config(path)
-
-
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -68,11 +31,6 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--n", "4"])
     assert exc.value.code == 2
-
-
-def test_unreadable_config_exits_2(tmp_path, capsys):
-    code = main(["phi-psi", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)])
-    assert code == 2
 
 
 def test_verify_passes(tmp_path, capsys):
@@ -199,12 +157,46 @@ def test_threads_only_where_read(tmp_path, capsys, command):
 @pytest.mark.parametrize("argv", [["phi-psi", "--r", "3"], ["phi-psi", "--q", "1"],
                                   ["phi-psi", "--trials", "5"], ["kraw-table", "--seed", "4"],
                                   ["verify", "--r", "2"], ["parity-scan", "--trials", "3"],
-                                  ["counterexample", "--trials", "3"], ["half-spectrum", "--q", "0"]])
+                                  ["counterexample", "--trials", "3"], ["half-spectrum", "--q", "0"],
+                                  *([name, "--alpha", "0.25"] for name in cli.COMMANDS
+                                    if name != "counterexample")])
 def test_config_flags_only_where_read(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--n", "6", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_config_file_is_a_usage_error(tmp_path, capsys, command):
+    # every setting is a flag: there is no config-file syntax
+    path = tmp_path / "run.cfg"
+    path.write_text("n_list = 4\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_alpha_out_of_range_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["counterexample", "--kind", "corollary", "--alpha", "1.5", "--out", str(out)]) == 2
+    assert "exponent" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "4,x"), ("--n", ""), ("--r", "2,"),
+                                        ("--alpha", "half")])
+def test_malformed_value_is_a_usage_error(tmp_path, capsys, flag, value):
+    # each flag is parsed once, by argparse, which names the flag it cannot parse
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--kind", "corollary", flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -234,13 +226,9 @@ def test_threads_below_one_exit_2(tmp_path, capsys, count):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("how", ["flag", "config"])
-def test_negative_seed_exits_2(tmp_path, capsys, how):
-    path = tmp_path / "run.cfg"
-    path.write_text("seed = -1\n")
-    source = ["--seed", "-1"] if how == "flag" else ["--config", str(path)]
+def test_negative_seed_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["verify", "--n", "3", "--trials", "1", *source, "--out", str(out)]) == 2
+    assert main(["verify", "--n", "3", "--trials", "1", "--seed", "-1", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "CHECK" not in captured.out and "seed" in captured.err
     assert not out.exists()
@@ -277,6 +265,31 @@ def test_result_above_physical_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "bytes of physical memory" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_verify_above_physical_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # the battery is estimated at the largest n before its first check runs
+    need = battery_bytes(12)
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need - 1)
+    out = tmp_path / "out"
+    assert main(["verify", "--n", "4,12", "--trials", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "CHECK" not in captured.out
+    assert f"at n=12 need {need} bytes, more than the {need - 1} bytes of physical memory" in captured.err
+    assert not out.exists()
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need)
+    assert main(["verify", "--n", "12", "--trials", "2", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("n", [10, 12, 14])
+def test_verify_peak_within_its_estimate(tmp_path, capsys, n):
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--n", str(n), "--trials", "200", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= battery_bytes(n)
 
 
 def test_preflight_counts_the_input(tmp_path, capsys, monkeypatch):
@@ -333,10 +346,8 @@ def test_kraw_table_bad_n_writes_nothing(tmp_path, capsys):
 
 
 def test_counterexample_corollary_reads_alpha(tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text("n_list = 2, 16, 64\nr_list = 2\nalpha = 0.25\n")
-    code = main(["counterexample", "--kind", "corollary", "--config", str(path),
-                 "--out", str(tmp_path), "--format", "json"])
+    code = main(["counterexample", "--kind", "corollary", "--n", "2,16,64", "--r", "2",
+                 "--alpha", "0.25", "--out", str(tmp_path), "--format", "json"])
     assert code == 0
     report = json.loads((tmp_path / "counterexample-corollary.json").read_text())
     assert report["parameters"]["alpha"] == 0.25

@@ -4,13 +4,20 @@ there.  A mismatch names the command, the file, and the numpy and BLAS that
 recorded the bytes beside the ones running now, since another BLAS may round
 a matrix product differently.
 
+The bytes must not depend on OpenBLAS's thread count or kernel either: the
+record's `blas_settings` are environment variables under which a child
+process reruns every command, with the machine's settings left as they are.
+
 After a change that is meant to move report bytes, rewrite the record with
 `PYTHONPATH=src python tests/test_fingerprints.py`, which prints every file
 whose digest changed with its command and the old and new digests.
 """
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -44,6 +51,16 @@ def test_report_bytes_match_record(name, tmp_path, capsys):
         assert written[file] == digest, (
             f"{entry['command']}: {file} changed; recorded with numpy {RECORD['numpy']} "
             f"and {RECORD['blas']}, running numpy {versions()['numpy']} and {versions()['blas']}")
+
+
+@pytest.mark.parametrize("setting", RECORD["blas_settings"],
+                         ids=lambda setting: ",".join(f"{k}={v}" for k, v in setting.items()))
+def test_report_bytes_do_not_depend_on_blas(setting):
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "test_report_bytes_match_record"],
+        env={**os.environ, **setting}, capture_output=True, text=True)
+    assert child.returncode == 0, child.stdout[-3000:]
 
 
 if __name__ == "__main__":

@@ -630,19 +630,19 @@ def test_one_column_product_calls_no_matmul(monkeypatch):
 
 def test_single_level_result_above_physical_memory_raises(monkeypatch):
     # a signed character's whole result is estimated before it is formed,
-    # as the per-row route's (n+1, 2^n) result with f, a spectrum copy and
-    # the popcounts; its tile stream never holds it, so the ratio still
+    # as its (n+1, 2^n) result with f, held once (no spectrum copy is made),
+    # and the popcounts; its tile stream never holds it, so the ratio still
     # runs.  Two characters of one weight take the projection route, whose
     # one projection, f, its spectrum copy and the popcounts do not fit: at
     # b = 0 for the whole result, at b = MAX_FOLD_BITS for the ratio
     n = 16
-    need = (n + 1 + 2) * (1 << n) * 8 + (1 << n)
+    need = (n + 1 + 1) * (1 << n) * 8 + (1 << n)
     monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 1 << 20)
     chi = character(n, 2**15 - 1)
     with pytest.raises(MemoryError, match=f"need {need} bytes, more than the {1 << 20} bytes"):
         spherical_mean_stack(chi, range(n + 1))
     assert variation_norm_ratio(chi, range(n + 1), 2.0) > 0
-    assert need == 10027008
+    assert need == 9502720
     pair = CubeFunction(n, chi.values + character(n, 2**16 - 2).values)
     whole = (1 + 2) * (1 << n) * 8 + (1 << n)
     folded = ((1 << (n - operators.MAX_FOLD_BITS)) + 2 * (1 << n)) * 8 + (1 << n)
