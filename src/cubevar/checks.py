@@ -204,8 +204,10 @@ def variation_worst_slack(trials, seed):
                     if block:
                         blocks.append(add(block))
                     j *= 2
+                # the image of phi: its distinct values, read off the sorted
+                # phi (np.unique would import numpy.ma inside the timed battery)
                 cases.append((
-                    k, r, ia, add(a[keep]), add(a[phi]), add(a[np.unique(phi)]),
+                    k, r, ia, add(a[keep]), add(a[phi]), add(a[phi[np.diff(phi, prepend=-1) > 0]]),
                     (add(b), add(a + b)) if b.size == m else None,
                     2.0 * float((np.abs(a) ** r).sum() ** (1 / r)),
                     add(az), add(dyadic), blocks,

@@ -1,7 +1,8 @@
 """Command-line entry point: verification suites, table exports, experiments.
 
 Exit codes: 0 success, 1 assertion/bound violation in a verify-style suite,
-2 usage or configuration error.
+2 usage or configuration error, including a dimension whose memory estimate
+exceeds physical memory.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from dataclasses import asdict, fields
 
 from . import operators
 from .checks import CHECKS, battery_bytes, run_check
-from .core import check_dim
 from .krawtchouk import bound_scan_a, bound_scan_b_c, build_table, estimate_exp_constant
 from .experiments import (
     ExperimentConfig,
@@ -27,6 +27,7 @@ from .experiments import (
     proposition_halfspectrum_scan,
     psi_scan,
     record,
+    witness_bytes,
 )
 
 
@@ -43,14 +44,6 @@ def _config(args) -> ExperimentConfig:
     names; every other field keeps its default."""
     return ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
                                if getattr(args, f.name, None) is not None})
-
-
-def _cube_config(args) -> ExperimentConfig:
-    """`_config`, with every dimension checked for 2^n-point cube functions."""
-    cfg = _config(args)
-    for n in cfg.n_list:
-        check_dim(n)
-    return cfg
 
 
 def _emit(report: ExperimentReport, out_dir, fmt: str) -> None:
@@ -71,7 +64,7 @@ def _emit(report: ExperimentReport, out_dir, fmt: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    cfg = _cube_config(args)
+    cfg = _config(args)
     n, trials, seed = max(cfg.n_list), cfg.trials, cfg.seed
     sizes = {
         "krawtchouk_identity_failures": {"dims": range(1, n + 1)},
@@ -84,6 +77,7 @@ def cmd_verify(args) -> int:
         "dyadic_partition_failures": {"scales": range(7)},
         "antipodal_max_violation": {"dims": [n], "seed": seed},
     }
+    operators._check_points(n, "the check battery")
     operators._check_bytes(battery_bytes(n), f"the check battery's arrays at n={n}")
     report = ExperimentReport("verify", asdict(cfg))
     failed = []
@@ -126,8 +120,11 @@ def cmd_kraw_table(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    # The corollary witness is read off the multiplier sequence alone.
-    cfg = _config(args) if args.kind == "corollary" else _cube_config(args)
+    cfg = _config(args)
+    if args.kind != "corollary":         # read off the multiplier sequence alone
+        for n in cfg.n_list:     # every n's estimate before the first character is built
+            operators._check_points(n, f"the {args.kind} witness")
+            operators._check_bytes(witness_bytes(n, cfg.r_list), f"the {args.kind} witness at n={n}")
     report = ExperimentReport(f"counterexample-{args.kind}", asdict(cfg))
     for n in cfg.n_list:
         if args.kind == "all-ones":
@@ -163,8 +160,9 @@ def cmd_phi_psi(args) -> int:
 
 
 def cmd_half_spectrum(args) -> int:
-    cfg = _cube_config(args)
+    cfg = _config(args)
     for n in cfg.n_list:     # every n's fold and memory estimate before the first draw
+        operators._check_points(n, "a half-spectrum draw")
         halfspectrum_fold_bits(n)
     report = ExperimentReport("half-spectrum", asdict(cfg))
     for n in cfg.n_list:
@@ -230,7 +228,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -18,9 +18,6 @@ import numpy as np
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
-#: Practical dimension cap: 2^26 complex doubles is ~1 GiB per buffer.
-MAX_DIM = 26
-
 #: Points per column block when a family of functions is streamed: the
 #: operator engine yields its (rows, points) result this many points at a
 #: time, so it holds no more than (rows x BLOCK) values per block.  The
@@ -42,12 +39,6 @@ def pairwise_total(parts):
     while len(parts) > 1:
         parts = [a + b for a, b in zip(parts[0::2], parts[1::2])]
     return parts[0]
-
-
-def check_dim(n: int) -> None:
-    """Reject a dimension whose 2^n-point cube functions are not supported."""
-    if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"dimension {n} outside 1..{MAX_DIM}")
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +66,8 @@ class CubeFunction:
     side: str = PHYSICAL
 
     def __post_init__(self):
-        check_dim(self.n)
+        if self.n < 1:       # no constant caps n: each 2^n command checks its memory estimate
+            raise ValueError(f"dimension {self.n} is below 1")
         if self.side not in (PHYSICAL, SPECTRAL):
             raise ValueError(f"unknown side {self.side!r}")
         dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
@@ -116,22 +108,17 @@ def abs_power_sum(values: np.ndarray, p: float = 2):
 def character(n: int, y: int) -> CubeFunction:
     """The character x -> (-1)^{x.y} as a physical-side function.
 
-    Built with one 2^n float64 array and, before it, one uint32 index array
-    and its uint8 popcounts: x & y is formed in place, and the index array
-    is freed before the output is allocated.
+    Built by doubling, chi_y(x + 2^k) = (-1)^{y_k} chi_y(x) for x < 2^k, in
+    the output array alone: 2^n float64 values, no index array.
     """
-    check_dim(n)
     if not isinstance(y, (int, np.integer)):
         raise ValueError(f"character index {y!r} is not an integer")
     if not 0 <= y < (1 << n):
         raise ValueError(f"character index {y} outside cube of dimension {n}")
-    x = np.arange(1 << n, dtype=np.uint32)
-    x &= int(y)
-    odd = np.bitwise_count(x)
-    del x
-    odd &= 1
-    values = np.ones(1 << n)
-    np.copyto(values, -1.0, where=odd.view(bool))
+    values = np.empty(1 << n)
+    values[0] = 1.0
+    for k in range(n):
+        np.multiply(values[:1 << k], -1.0 if y >> k & 1 else 1.0, out=values[1 << k:2 << k])
     return CubeFunction(n, values)
 
 

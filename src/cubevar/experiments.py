@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CHUNK, SPECTRAL, CubeFunction, abs_power_sum, character, pairwise_total, popcounts
+from .core import BLOCK, CHUNK, SPECTRAL, CubeFunction, abs_power_sum, character, pairwise_total, popcounts
 from .krawtchouk import build_table
 from .operators import _fold_bits, _kraw_rows, _radial_multiplier_blocks
 from .variation import _check_order, vr_pointwise_values
@@ -179,6 +179,18 @@ def _truncated_bound(n: int, a_n: float):
     return lambda r: (2.0 / 3.0) * base ** (1.0 / r)
 
 
+def witness_bytes(n: int, r_list) -> int:
+    """An upper bound on the bytes `counterexample_all_ones` and
+    `counterexample_truncated` hold at once at dimension n for the orders
+    `r_list`: the character's 8 B a point, and rows of 8 B on a `BLOCK` (or
+    `CHUNK`) of the half cube: the (n+1)-row engine tile, which the DP
+    scales in place; the DP's tables of `vr_pointwise_values`, (n+1) rows
+    an order, and its scratch rows, eight and two an order; the ratio's
+    chunk buffer, a row an order; and 1 MiB for what does not grow with n."""
+    width, orders = min(max(BLOCK, CHUNK), 1 << (n - 1)), len(r_list)
+    return 8 * (1 << n) + 8 * width * ((n + 1) * (1 + orders) + 8 + 3 * orders) + (1 << 20)
+
+
 def counterexample_all_ones(n: int, r_list) -> list:
     """Full-range variation ratio for the all-ones character, one record per
     order in r_list; the proven lower bound is 2 n^{1/r}, attained with
@@ -247,7 +259,8 @@ def parity_character_scan(n: int, r: float, q: int) -> dict:
     tied for the maximum (`TIE_ULPS`), so rounding does not pick among levels
     tied in exact arithmetic."""
     half = n // 2 + 1
-    values = vr_pointwise_values(_kraw_rows(n, parity_radii(n, q))[:, :half], r).tolist()
+    # the table first: it refuses n > 64 before the radii are listed
+    values = vr_pointwise_values(build_table(n).float[parity_radii(n, q), :half], r).tolist()
     values += [values[n - m] for m in range(half, n + 1)]
     top = max(values)
     weight = next(w for w, v in enumerate(values) if top - v <= TIE_ULPS * math.ulp(top))

@@ -83,6 +83,14 @@ def _check_bytes(need: int, what: str) -> None:
                           f"{PHYSICAL_MEMORY} bytes of physical memory")
 
 
+def _check_points(n: int, what: str) -> None:
+    """Raise MemoryError, naming `what`, when 2^n bytes exceed
+    `PHYSICAL_MEMORY`: every array of 2^n points takes more, so an n far
+    past memory is refused before an estimate forms the n-bit integer 2^n."""
+    if PHYSICAL_MEMORY is not None and n >= PHYSICAL_MEMORY.bit_length():
+        raise MemoryError(f"{what}: 2^{n} points need more than the {PHYSICAL_MEMORY} bytes of physical memory")
+
+
 #: The most bits `_fold_bits` folds by: sub-cubes of 2^{n-4} points.  Each
 #: sub-cube reads the whole spectrum once per level or row, so the passes
 #: over it double with each bit; at 4 bits the 14 level projections of an
@@ -321,13 +329,13 @@ def _radial_multiplier_blocks(f: CubeFunction, rows, points=None):
 def _kraw_rows(n: int, radii) -> np.ndarray:
     """The multipliers of S_k for k in `radii`: Krawtchouk rows kappa^(n)_k(w).
     Radii outside 0..n, or none at all, raise ValueError."""
-    radii = list(radii)
+    table, radii = build_table(n), list(radii)      # the table refuses n > 64 first
     if not radii:
         raise ValueError(f"need at least one radius, got radii {radii}")
     for k in radii:
         if not (isinstance(k, (int, np.integer)) and 0 <= k <= n):
             raise ValueError(f"radius {k!r} outside 0..{n}")
-    return build_table(n).float[radii]
+    return table.float[radii]
 
 
 def spherical_mean_stack(f: CubeFunction, radii) -> np.ndarray:

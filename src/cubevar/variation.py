@@ -219,7 +219,6 @@ def _vr_block(block, orders, diff, best, jump, square, cand, out) -> None:
     real = np.isrealobj(diff)
     bounds = _link_bounds(block, [r for _, r in chains], jump, square) if real and chains else None
     tops = [[None] * len(block) for _ in chains]
-    signed = real and orders == [2.0]
     # a complex jump is subtracted as its float64 (re, im) pairs
     flat, flat_diff = block.view(np.float64), diff.view(np.float64)
     for j in range(1, len(block)):
@@ -232,8 +231,7 @@ def _vr_block(block, orders, diff, best, jump, square, cand, out) -> None:
         starts = [keep.index(True) for keep in keeps]
         for i in links:
             np.subtract(flat[i], flat[j], out=flat_diff)
-            if not signed:                # a real jump's sign does not change its square
-                np.abs(diff, out=jump)
+            np.abs(diff, out=jump)
             if i == j - 1:
                 for k in sums:
                     out[k] += jump

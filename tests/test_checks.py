@@ -2,7 +2,11 @@
 every check body lives in `checks.py`."""
 import copy
 import inspect
+import os
+import subprocess
+import sys
 
+import cubevar
 from cubevar import CubeFunction, krawtchouk, operators, variation
 from cubevar.checks import CHECKS, run_check
 
@@ -41,3 +45,16 @@ def test_check_bodies_live_in_checks():
             assert not (public and (name.startswith("check_") or name.endswith("_check"))), name
     for name, (measure, _, _) in CHECKS.items():
         assert measure.__module__ == "cubevar.checks", name
+
+
+def test_sweep_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 10 ms inside the
+    # timed battery; the sweep takes a sorted array's distinct values itself
+    code = ("import sys; from cubevar.checks import run_check; "
+            "assert 'numpy.ma' not in sys.modules; "
+            "run_check('variation_worst_slack', trials=200, seed=0); "
+            "print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cubevar.__file__))
+    child = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "False"

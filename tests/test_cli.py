@@ -6,13 +6,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cubevar import cli, experiments, operators
+from cubevar import cli, core, experiments, operators
 from cubevar.checks import CHECKS, battery_bytes
-from cubevar.core import MAX_DIM
 from cubevar.cli import main
-from cubevar.experiments import ExperimentConfig, record
+from cubevar.experiments import ExperimentConfig, record, witness_bytes
 
 KEYS = ["n", "r", "q", "metric", "value", "witness"]
+
+
+def traced_main(argv) -> int:
+    """Peak bytes traced by tracemalloc while `main(argv)` runs; it must exit 0."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def strict_json(text):
@@ -118,7 +127,7 @@ def test_parity_scan_and_phi_psi(tmp_path, capsys):
     assert main(["parity-scan", "--n", "6", "--r", "3", "--q", "0",
                  "--out", str(tmp_path), "--format", "json"]) == 0
     assert main(["phi-psi", "--n", "6", "--out", str(tmp_path), "--format", "json"]) == 0
-    # Both read only the (n+1) x (n+1) table, so n may exceed MAX_DIM.
+    # Both read only the (n+1) x (n+1) table, so n may pass any 2^n command's limit.
     assert main(["parity-scan", "--n", "40", "--r", "2", "--out", str(tmp_path), "--format", "json"]) == 0
     assert main(["phi-psi", "--n", "64", "--out", str(tmp_path), "--format", "json"]) == 0
     assert main(["half-spectrum", "--n", "6", "--r", "3", "--trials", "3",
@@ -242,12 +251,30 @@ def test_seed_is_64_bit(tmp_path, capsys):
     assert main([*argv, str((1 << 64) - 1), "--out", str(tmp_path / "top")]) == 0
 
 
-@pytest.mark.parametrize("command", ["verify", "counterexample", "half-spectrum"])
-def test_dimension_above_cap_exits_2(tmp_path, capsys, command):
-    code = main([command, "--n", "40", "--out", str(tmp_path)])
-    assert code == 2
-    assert f"1..{MAX_DIM}" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+CUBE_COMMANDS = ("verify", "counterexample", "half-spectrum")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_dimension_above_cap_exits_2(tmp_path, capsys, monkeypatch, command):
+    # Memory caps the 2^n commands: n = 40 is past it (the table-only commands
+    # run n = 40, up to the table's 64).  2^70 is past every command's limit,
+    # and its 2^n, were it formed, overflows.
+    argvs = [[command, "--n", str(n)] for n in ((40, 1 << 70) if command in CUBE_COMMANDS else (1 << 70,))]
+    if command == "counterexample":
+        argvs.append([command, "--kind", "corollary", "--n", str(1 << 70)])
+    for argv in argvs:
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if command in CUBE_COMMANDS and "corollary" not in argv:
+            assert "bytes of physical memory" in err
+        assert not out.exists()
+    if command in CUBE_COMMANDS:         # unreported memory: 2^n overflows, and is caught
+        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", None)
+        assert main([command, "--n", str(1 << 70), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
 
 def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
@@ -283,13 +310,43 @@ def test_verify_above_physical_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", [10, 12, 14])
 def test_verify_peak_within_its_estimate(tmp_path, capsys, n):
-    tracemalloc.start()
-    try:
-        assert main(["verify", "--n", str(n), "--trials", "200", "--out", str(tmp_path)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= battery_bytes(n)
+    assert traced_main(["verify", "--n", str(n), "--trials", "200", "--out", str(tmp_path)]) <= battery_bytes(n)
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_verify_estimate_within_twice_its_peak(tmp_path, capsys, n):
+    peak = traced_main(["verify", "--n", str(n), "--trials", "2", "--out", str(tmp_path)])
+    assert peak <= battery_bytes(n) <= 2 * peak
+
+
+def test_witness_above_physical_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # every n's witness is estimated before the first character is built
+    need = witness_bytes(12, [2.0])
+    built = []
+    monkeypatch.setattr(experiments, "character", lambda n, y: built.append(n) or core.character(n, y))
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need - 1)
+    out = tmp_path / "out"
+    argv = ["counterexample", "--kind", "truncated", "--r", "2", "--out", str(out)]
+    assert main([*argv, "--n", "4,12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and built == []
+    assert (f"the truncated witness at n=12 need {need} bytes, "
+            f"more than the {need - 1} bytes of physical memory") in captured.err
+    assert not out.exists()
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need)
+    assert main([*argv, "--n", "12"]) == 0
+    assert built == [12]
+
+
+@pytest.mark.parametrize("kind", ["all-ones", "truncated"])
+def test_witness_peak_within_its_estimate(tmp_path, capsys, kind):
+    for n in (10, 12, 14, 16, 18, 20):
+        peak = traced_main(["counterexample", "--kind", kind, "--n", str(n), "--r", "1,2,3",
+                            "--out", str(tmp_path)])
+        need = witness_bytes(n, [1.0, 2.0, 3.0])
+        assert peak <= need
+        if n >= 18:
+            assert need <= 2 * peak
 
 
 def test_preflight_counts_the_input(tmp_path, capsys, monkeypatch):
