@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import BLOCK, CHUNK, SPECTRAL, CubeFunction, abs_power_sum, character, pairwise_total, popcounts
 from .krawtchouk import build_table
-from .operators import _fold_bits, _kraw_rows, _radial_multiplier_blocks
+from .operators import _check_bytes, _check_memory, _fold_bits, _kraw_rows, _radial_multiplier_blocks
 from .variation import _check_order, vr_pointwise_values
 
 CSV_HEADER = ["experiment", "n", "r", "q", "metric", "value", "witness"]
@@ -179,16 +179,25 @@ def _truncated_bound(n: int, a_n: float):
     return lambda r: (2.0 / 3.0) * base ** (1.0 / r)
 
 
+def _ratio_rows_bytes(n: int, r_list) -> int:
+    """Bytes of the rows `variation_norm_ratio` holds beside the engine's
+    terms at dimension n for the orders `r_list`: rows of 8 B on a `BLOCK`
+    (or `CHUNK`) of the half cube, the (n+1)-row engine tile, which the DP
+    scales in place; the DP's tables of `vr_pointwise_values`, (n+1) rows
+    an order, and its scratch rows, eight and two an order; and the ratio's
+    chunk buffer, a row an order.  A complex tile holds half the points in
+    the same bytes, and its DP tables are half as wide."""
+    width, orders = min(max(BLOCK, CHUNK), 1 << (n - 1)), len(r_list)
+    return 8 * width * ((n + 1) * (1 + orders) + 8 + 3 * orders)
+
+
 def witness_bytes(n: int, r_list) -> int:
     """An upper bound on the bytes `counterexample_all_ones` and
     `counterexample_truncated` hold at once at dimension n for the orders
-    `r_list`: the character's 8 B a point, and rows of 8 B on a `BLOCK` (or
-    `CHUNK`) of the half cube: the (n+1)-row engine tile, which the DP
-    scales in place; the DP's tables of `vr_pointwise_values`, (n+1) rows
-    an order, and its scratch rows, eight and two an order; the ratio's
-    chunk buffer, a row an order; and 1 MiB for what does not grow with n."""
-    width, orders = min(max(BLOCK, CHUNK), 1 << (n - 1)), len(r_list)
-    return 8 * (1 << n) + 8 * width * ((n + 1) * (1 + orders) + 8 + 3 * orders) + (1 << 20)
+    `r_list`: the character's 8 B a point, which the engine reads in place,
+    the rows of its ratio (`_ratio_rows_bytes`), and 1 MiB for what does
+    not grow with n."""
+    return 8 * (1 << n) + _ratio_rows_bytes(n, r_list) + (1 << 20)
 
 
 def counterexample_all_ones(n: int, r_list) -> list:
@@ -309,18 +318,32 @@ def halfspectrum_fold_bits(n: int) -> int:
                       np.complex128, SPECTRAL)
 
 
+def halfspectrum_bytes(n: int, r_list) -> int:
+    """An upper bound on the bytes `proposition_halfspectrum_scan` holds at
+    once at dimension n for the orders `r_list`: the engine's estimate for
+    a draw at its fold (`halfspectrum_fold_bits`; the draw, its level
+    projections on one sub-cube, the popcounts and the engine's workspace),
+    the rows of its ratio (`_ratio_rows_bytes`), and 2 MiB for what does
+    not grow with n: the modules a fresh process first imports during a run
+    (0.8 MiB traced), the Krawtchouk table and the draw's chunk buffer.
+    MemoryError when no fold fits."""
+    points = (1 << n) >> halfspectrum_fold_bits(n)
+    return (_check_memory(n, n + 1, halfspectrum_levels(n), points, np.complex128, SPECTRAL)
+            + _ratio_rows_bytes(n, r_list) + (2 << 20))
+
+
 def proposition_halfspectrum_scan(n: int, r_list, trials: int, seed: int) -> list:
     """Random-search lower bound for the half-spectrum operator quantity, one
     record per order in r_list; every order is evaluated on the same draws,
-    and each recorded maximum is a lower bound only.  The engine's fold and
-    memory estimate for a draw (`halfspectrum_fold_bits`) is checked before
-    the first draw, so a refusal draws nothing.  Each draw goes straight
-    into `variation_norm_ratio` and is held nowhere else, so it is freed
-    once the engine has made its last terms."""
+    and each recorded maximum is a lower bound only.  The memory estimate
+    of the scan (`halfspectrum_bytes`) is checked before the first draw,
+    so a refusal draws nothing.  Each draw goes straight into
+    `variation_norm_ratio` and is held nowhere else, so it is freed once
+    the engine has made its last terms."""
     if n < 2:
         raise ValueError("need n >= 2")
     radii = range(n + 1)
-    halfspectrum_fold_bits(n)
+    _check_bytes(halfspectrum_bytes(n, r_list), f"a half-spectrum draw at n={n}")
     rng = np.random.default_rng(seed)
     best = [0.0] * len(r_list)
     for _ in range(trials):

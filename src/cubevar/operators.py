@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from . import core
-from .core import PHYSICAL, SPECTRAL, CubeFunction, convolve, fwht, popcounts
+from .core import CHUNK, PHYSICAL, SPECTRAL, CubeFunction, convolve, fwht, popcounts
 from .krawtchouk import build_table
 
 try:
@@ -63,16 +63,32 @@ def spherical_mean_direct(f: CubeFunction, k: int, method: str = "auto") -> Cube
     raise ValueError(f"unknown method {method!r}")
 
 
-def _check_memory(n: int, m: int, levels, points: int, dtype, side: str) -> None:
+#: Bytes the engine holds beside its terms, inputs and `fwht` scratch that
+#: do not grow with n: numpy's ufunc buffers of 8192 values an operand,
+#: taken when a real row multiplies complex values or a broadcast row is
+#: short (up to 384 KiB), a `CHUNK` of the level count (10 B a point) and
+#: small objects.
+ENGINE_SLACK = 1 << 19
+
+
+def _check_memory(n: int, m: int, levels, points: int, dtype, side: str) -> int:
     """Raise MemoryError when the engine for m rows, on `points` points at a
     time (the whole cube, the half cube or one sub-cube of `_fold_bits`), of
     an f with `dtype` values on `side` and non-zero Walsh `levels` would
     exceed `PHYSICAL_MEMORY`: its (min(levels, m), points) terms, f, the
-    spectrum copy of a physical f and the popcounts (1 B a point)."""
-    size = 1 << n
+    spectrum copy of a physical f, the popcounts (1 B a point), the `fwht`
+    scratch of one term, what its route holds beside the terms on each
+    point, and `ENGINE_SLACK`.  The level projections hold a level mask
+    (1 B); a per-row term holds its gain row and the intp index `np.take`
+    makes of the popcounts (16 B), and on a sub-cube the product of one
+    part (`upper`).  Returns the estimate."""
+    size, item = 1 << n, np.dtype(dtype).itemsize
     count, copies = min(len(levels), m), 2 if side == PHYSICAL else 1
-    need = (count * points + copies * size) * np.dtype(dtype).itemsize + size
+    work = 1 if count < m else 16 + item * (points < size)
+    scratch = min(points * item, 8 * core.FWHT_SCRATCH)
+    need = (count * points + copies * size) * item + size + work * points + scratch + ENGINE_SLACK
     _check_bytes(need, f"{count} x {points} values and f")
+    return need
 
 
 def _check_bytes(need: int, what: str) -> None:
@@ -173,9 +189,8 @@ def _radial_terms(f: CubeFunction, rows, points=None, most: int = MAX_FOLD_BITS)
     sub-cube refills the same terms buffer, valid until the next is asked
     for; with b = 0, or b = 1 on the half cube, there is one.  No reference
     to f or its spectrum is kept once the last terms are made.  When the
-    terms, f, the spectrum copy of a physical f and the popcounts would
-    exceed `PHYSICAL_MEMORY` at every b, MemoryError is raised before the
-    terms are allocated (`_check_memory`).
+    estimate of `_check_memory` exceeds `PHYSICAL_MEMORY` at every b,
+    MemoryError is raised before the terms are allocated.
     """
     n = f.n
     rows = np.asarray(rows, dtype=np.float64)
@@ -196,8 +211,9 @@ def _radial_terms(f: CubeFunction, rows, points=None, most: int = MAX_FOLD_BITS)
         spec = f.values
         scale = 2.0 ** (-n / 2)
     pc = popcounts(n)
-    if len(rows) > 1:
-        levels = np.flatnonzero(np.bincount(pc[spec != 0], minlength=n + 1))
+    if len(rows) > 1:        # a CHUNK at a time: bincount takes an intp copy of its input
+        levels = np.flatnonzero(sum(np.bincount(pc[s:s + CHUNK][spec[s:s + CHUNK] != 0], minlength=n + 1)
+                                    for s in range(0, size, CHUNK)))
     else:        # one row takes the per-row route whatever levels f has, as if it had all
         levels = range(n + 1)
     rows = rows * scale
@@ -281,16 +297,18 @@ def apply_radial_multipliers(f: CubeFunction, rows) -> np.ndarray:
     f may be on either side; the result is (m, 2^n), float64 when f.values
     are, and equals its tiles (`_radial_multiplier_blocks`) when they are
     not folded.  The whole result is held, so its terms are not folded; a
-    result formed from coef x terms is estimated (`_check_memory`) before
-    it is formed, as m rows beside the level projections it is formed from,
-    or beside none for a signed character, whose terms are f itself, and
-    beside f once: no spectrum copy is alive on either route by then.
+    result formed from coef x terms is estimated before it is formed, as m
+    rows beside the level projections it is formed from, or beside none for
+    a signed character, whose terms are f itself, and beside f once (no
+    spectrum copy is alive on either route by then), the popcounts and
+    `ENGINE_SLACK`.
     """
     [(coef, terms)] = _radial_terms(f, rows, most=0)
     if coef is None:
         return terms
     held = len(coef) + (0 if np.shares_memory(terms, f.values) else len(terms))
-    _check_memory(f.n, held, range(held), terms.shape[1], terms.dtype, SPECTRAL)
+    size = 1 << f.n
+    _check_bytes((held + 1) * size * terms.itemsize + size + ENGINE_SLACK, f"{held} x {size} values and f")
     return _product(coef, terms)
 
 

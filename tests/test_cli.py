@@ -9,7 +9,7 @@ import pytest
 from cubevar import cli, core, experiments, operators
 from cubevar.checks import CHECKS, battery_bytes
 from cubevar.cli import main
-from cubevar.experiments import ExperimentConfig, record, witness_bytes
+from cubevar.experiments import ExperimentConfig, halfspectrum_bytes, record, witness_bytes
 
 KEYS = ["n", "r", "q", "metric", "value", "witness"]
 
@@ -61,11 +61,22 @@ def test_verify_counts_identity_failures_and_names_them(tmp_path, capsys, monkey
                         (lambda dims: (sum(dims), None), within, tol))
     code = main(["verify", "--n", "4", "--trials", "2", "--out", str(tmp_path), "--format", "json"])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "krawtchouk_identity_failures" in err and "bound_a_max_ratio" not in err
+    assert capsys.readouterr().err == "verify: failed checks: krawtchouk_identity_failures\n"
     record = json.loads((tmp_path / "verify.json").read_text())["records"][0]
     assert record == {"n": 4, "r": None, "q": None, "metric": "krawtchouk_identity_failures",
                       "value": 1 + 2 + 3 + 4, "witness": None}
+    # the failed-checks line follows the report write: a report refused for
+    # a non-finite value, or an --out that cannot be made, prints only its
+    # error line
+    (tmp_path / "file").write_text("")
+    assert main(["verify", "--n", "4", "--trials", "2", "--out", str(tmp_path / "file")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    monkeypatch.setitem(CHECKS, "krawtchouk_identity_failures", (lambda dims: (math.nan, None), within, tol))
+    assert main(["verify", "--n", "4", "--trials", "2", "--out", str(tmp_path / "nan")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON compliant" in err and err.count("\n") == 1
+    assert not (tmp_path / "nan").exists()
 
 
 def test_verify_reports_an_undrawn_property_as_null(tmp_path, capsys):
@@ -278,10 +289,10 @@ def test_dimension_above_cap_exits_2(tmp_path, capsys, monkeypatch, command):
 
 
 def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
-    def exhausted(args):
+    def exhausted(cfg, args):
         raise MemoryError("Unable to allocate 8.00 TiB")
 
-    monkeypatch.setitem(cli.COMMANDS, "phi-psi", exhausted)
+    monkeypatch.setitem(cli.COMMANDS, "phi-psi", (exhausted, ()))
     assert main(["phi-psi", "--n", "6", "--out", str(tmp_path)]) == 2
     assert "Unable to allocate" in capsys.readouterr().err
 
@@ -349,6 +360,16 @@ def test_witness_peak_within_its_estimate(tmp_path, capsys, kind):
             assert need <= 2 * peak
 
 
+def test_half_spectrum_peak_within_its_estimate(tmp_path, capsys):
+    for n in (10, 12, 14, 16, 18):
+        peak = traced_main(["half-spectrum", "--n", str(n), "--r", "2,3", "--trials", "2",
+                            "--out", str(tmp_path)])
+        need = halfspectrum_bytes(n, [2.0, 3.0])
+        assert peak <= need
+        if n >= 16:
+            assert need <= 2 * peak
+
+
 def test_preflight_counts_the_input(tmp_path, capsys, monkeypatch):
     # 9 x 2^12 complex level projections alone, the terms of the most-folded
     # sub-cubes: f's 2^16 complex values and its popcounts take the estimate
@@ -356,7 +377,7 @@ def test_preflight_counts_the_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 9 * 2**12 * 16)
     code = main(["half-spectrum", "--n", "16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
     assert code == 2
-    assert "1703936 bytes, more than the 589824 bytes" in capsys.readouterr().err
+    assert "9 x 4096 values and f need 2297856 bytes, more than the 589824 bytes" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -366,29 +387,33 @@ def test_half_spectrum_refusal_draws_nothing(tmp_path, capsys, monkeypatch):
     def draw(n, rng):
         raise AssertionError("drew an input")
 
+    need = halfspectrum_bytes(16, [2.0])
+    assert need == 14909440
     monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 9 * 2**12 * 16)
     monkeypatch.setattr(experiments, "random_halfspectrum_function", draw)
     code = main(["half-spectrum", "--n", "16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
     assert code == 2
-    assert "1703936 bytes, more than the 589824 bytes" in capsys.readouterr().err
+    assert "2297856 bytes, more than the 589824 bytes" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-    # a budget equal to the estimate lets the same command reach the draw
-    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 1703936)
+    # a budget equal to the command's estimate lets the same command reach the draw
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need)
     with pytest.raises(AssertionError, match="drew an input"):
         main(["half-spectrum", "--n", "16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
 
 
 def test_half_spectrum_checks_every_n_before_any_draw(tmp_path, capsys, monkeypatch):
-    # n = 6 fits, n = 16 fits at no fold: the command refuses before it
+    # n = 6 fits, n = 16 does not (its engine terms fit at b = 1, but not
+    # with the tile and DP rows beside them): the command refuses before it
     # draws for n = 6, and writes no report
     calls = []
     draw = experiments.random_halfspectrum_function
-    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 1703935)
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 14909439)
     monkeypatch.setattr(experiments, "random_halfspectrum_function",
                         lambda n, rng: calls.append(n) or draw(n, rng))
     code = main(["half-spectrum", "--n", "6,16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
     assert code == 2
-    assert "1703936 bytes, more than the 1703935 bytes" in capsys.readouterr().err
+    assert ("a half-spectrum draw at n=16 need 14909440 bytes, more than the 14909439 bytes"
+            in capsys.readouterr().err)
     assert not calls and not list(tmp_path.iterdir())
     # n = 6 alone runs under the same budget
     assert main(["half-spectrum", "--n", "6", "--r", "2", "--trials", "1", "--out", str(tmp_path)]) == 0
@@ -451,7 +476,9 @@ def test_non_finite_record_exits_2_and_writes_nothing(tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "phi_scan", lambda n: planted)
     out = tmp_path / "out"
     assert main(["phi-psi", "--n", "2", "--out", str(out), "--format", fmt]) == 2
-    assert "JSON compliant" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "JSON compliant" in captured.err
     assert not out.exists()
 
 

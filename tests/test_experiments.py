@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cubevar import core, experiments
+from cubevar import core, experiments, operators
 from cubevar import (
     CubeFunction,
     ExperimentConfig,
@@ -437,6 +437,23 @@ def test_halfspectrum_scan_lets_each_draw_go(monkeypatch):
     assert experiments.halfspectrum_fold_bits(n) == 1
     proposition_halfspectrum_scan(n, [2.0, 3.0], trials=3, seed=5)
     assert seen == [True] * 3
+
+
+def test_halfspectrum_scan_checks_its_estimate_before_the_first_draw(monkeypatch):
+    # called as a library, the scan refuses with the estimate the CLI checks
+    # (`halfspectrum_bytes`), one byte short of it, and draws nothing
+    def draw(n, rng):
+        raise AssertionError("drew an input")
+
+    n, r_list = 12, [2.0, 3.0]
+    need = experiments.halfspectrum_bytes(n, r_list)
+    monkeypatch.setattr(experiments, "random_halfspectrum_function", draw)
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need - 1)
+    with pytest.raises(MemoryError, match=f"a half-spectrum draw at n={n} need {need} bytes"):
+        proposition_halfspectrum_scan(n, r_list, trials=1, seed=5)
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need)
+    with pytest.raises(AssertionError, match="drew an input"):
+        proposition_halfspectrum_scan(n, r_list, trials=1, seed=5)
 
 
 def test_halfspectrum_scan_consistency():

@@ -254,9 +254,14 @@ def test_folded_blocks_match_first_half(n, monkeypatch):
 
 def _estimate(n, m, levels, points, dtype, side):
     """The bytes `_check_memory` counts: the terms on `points` points, f with
-    a physical f's spectrum copy, and the popcounts."""
+    a physical f's spectrum copy, the popcounts, a level mask (projections)
+    or a gain row with its index and, folded, one part's product (per-row)
+    on each point, one `fwht` scratch and `ENGINE_SLACK`."""
+    size, item = 1 << n, np.dtype(dtype).itemsize
     count, copies = min(len(levels), m), 2 if side == "physical" else 1
-    return (count * points + copies * (1 << n)) * np.dtype(dtype).itemsize + (1 << n)
+    work = 1 if count < m else 16 + item * (points < size)
+    return ((count * points + copies * size) * item + size + work * points
+            + min(points * item, 8 * core.FWHT_SCRATCH) + operators.ENGINE_SLACK)
 
 
 def _fold_budget(f, rows, points, bits, monkeypatch):
@@ -348,6 +353,69 @@ def test_fold_bits_takes_the_fewest_that_fit(monkeypatch):
             operators._fold_bits(n, m, levels, 1 << n, np.complex128, side, most=0)
 
 
+def _engine_input(n, route, side, dtype):
+    """An input that takes `route`, on `side`, with `dtype` values."""
+    size, rng = 1 << n, np.random.default_rng(n)
+    top = int(np.flatnonzero(popcounts(n) == n // 2 + 1)[0])
+    if route == "signed character":
+        values = character(n, 2**(n - 1) - 1).values
+    elif route == "per-row":
+        values = rng.standard_normal(size)
+    elif side == SPECTRAL:         # two levels, fewer than the n + 1 rows
+        values = np.zeros(size)
+        values[[0, top]] = 1.0
+    else:
+        values = character(n, 0).values + character(n, top).values
+    return CubeFunction(n, values * (1 - 2j) if dtype == "complex" else values, side)
+
+
+@pytest.mark.parametrize("n", [14, 16])
+@pytest.mark.parametrize("route, side, dtype", [
+    ("signed character", "physical", "real"), ("signed character", "physical", "complex"),
+    *((route, side, dtype) for route in ("level projections", "per-row")
+      for side in ("physical", SPECTRAL) for dtype in ("real", "complex")),
+])
+def test_engine_peak_within_its_estimate(n, route, side, dtype, monkeypatch):
+    # the traced peak of an engine call, plus f and the popcounts it reads,
+    # is at most the largest estimate the call made and passed, and at
+    # n = 16 that estimate is at most twice it: every route, side and
+    # dtype, for the whole result (n + 1 rows, and one row, which takes the
+    # per-row route) and for the terms streamed on the whole or the half
+    # cube at each fold b <= 2 (forced by a budget at b's estimate).  A
+    # streamed signed character is read in place and makes no estimate
+    f = _engine_input(n, route, side, dtype)
+    rows, size = build_table(n).float, 1 << n
+    coef, terms = next(operators._radial_terms(f, rows))
+    assert route == ("per-row" if coef is None else "signed character"
+                     if np.shares_memory(terms, f.values) else "level projections")
+    del coef, terms
+    popcounts(n)         # an input, as f is: made before the call
+    calls = [("whole", lambda: apply_radial_multipliers(f, rows), None),
+             ("one row", lambda: apply_radial_multipliers(f, rows[3:4]), None)]
+    if route != "signed character":
+        calls += [(f"{points} points, b = {bits}", lambda points=points, bits=bits: [
+                      terms.shape[1] == size >> bits or pytest.fail("wrong fold")
+                      for _, terms in operators._radial_terms(f, rows, points)],
+                   _fold_budget(f, rows, points, bits, monkeypatch))
+                  for points in (size, size >> 1) for bits in range(int(points < size), 3)]
+    check = operators._check_bytes
+    for label, call, budget in calls:
+        passed = []
+        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", budget)
+        monkeypatch.setattr(operators, "_check_bytes",
+                            lambda need, what: check(need, what) or passed.append(need))
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1] + f.values.nbytes + size
+        finally:
+            tracemalloc.stop()
+        need = max(passed)
+        assert peak <= need, label
+        if n == 16:
+            assert need <= 2 * peak, label
+
+
 @pytest.mark.parametrize("n", [9, 10])
 def test_ratio_leaves_f_untouched(n, monkeypatch):
     # the DP overwrites every engine tile, and no tile may be a view of f:
@@ -401,14 +469,12 @@ def test_folded_engine_holds_half_the_projections(monkeypatch):
     n = 8
     rng = np.random.default_rng(20)
     cases = [
-        (rand_fn(n, rng), n + 1, 2),                              # per-row route
-        (random_halfspectrum_function(n, rng), n // 2 + 1, 1),    # projection route
+        (rand_fn(n, rng), range(n + 1), "physical"),                         # per-row route
+        (random_halfspectrum_function(n, rng), range(n // 2 + 1), SPECTRAL),    # projection route
     ]
-    for f, count, copies in cases:
-        # f with a physical f's spectrum copy, and the popcounts, beside the result
-        inputs = copies * (1 << n) * 16 + (1 << n)
-        half, full = count * (1 << (n - 1)) * 16 + inputs, count * (1 << n) * 16 + inputs
-        least = count * (1 << (n - operators.MAX_FOLD_BITS)) * 16 + inputs
+    for f, levels, side in cases:
+        half, full, least = (_estimate(n, n + 1, levels, (1 << n) >> bits, np.complex128, side)
+                             for bits in (1, 0, operators.MAX_FOLD_BITS))
         monkeypatch.setattr(operators, "PHYSICAL_MEMORY", half)
         ratio = variation_norm_ratio(f, range(n + 1), 2.0)
         assert ratio > 0
@@ -631,26 +697,27 @@ def test_one_column_product_calls_no_matmul(monkeypatch):
 def test_single_level_result_above_physical_memory_raises(monkeypatch):
     # a signed character's whole result is estimated before it is formed,
     # as its (n+1, 2^n) result with f, held once (no spectrum copy is made),
-    # and the popcounts; its tile stream never holds it, so the ratio still
-    # runs.  Two characters of one weight take the projection route, whose
-    # one projection, f, its spectrum copy and the popcounts do not fit: at
-    # b = 0 for the whole result, at b = MAX_FOLD_BITS for the ratio
+    # the popcounts and ENGINE_SLACK; its tile stream never holds it, so the
+    # ratio still runs.  Two characters of one weight take the projection
+    # route, whose one projection, f, its spectrum copy, the popcounts and
+    # the engine's workspace do not fit: at b = 0 for the whole result, at
+    # b = MAX_FOLD_BITS for the ratio
     n = 16
-    need = (n + 1 + 1) * (1 << n) * 8 + (1 << n)
+    need = (n + 1 + 1) * (1 << n) * 8 + (1 << n) + operators.ENGINE_SLACK
     monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 1 << 20)
     chi = character(n, 2**15 - 1)
     with pytest.raises(MemoryError, match=f"need {need} bytes, more than the {1 << 20} bytes"):
         spherical_mean_stack(chi, range(n + 1))
     assert variation_norm_ratio(chi, range(n + 1), 2.0) > 0
-    assert need == 9502720
+    assert need == 10027008
     pair = CubeFunction(n, chi.values + character(n, 2**16 - 2).values)
-    whole = (1 + 2) * (1 << n) * 8 + (1 << n)
-    folded = ((1 << (n - operators.MAX_FOLD_BITS)) + 2 * (1 << n)) * 8 + (1 << n)
+    whole, folded = (_estimate(n, n + 1, [n - 1], (1 << n) >> bits, np.float64, "physical")
+                     for bits in (0, operators.MAX_FOLD_BITS))
     with pytest.raises(MemoryError, match=f"need {whole} bytes, more than the {1 << 20} bytes"):
         spherical_mean_stack(pair, range(n + 1))
     with pytest.raises(MemoryError, match=f"need {folded} bytes, more than the {1 << 20} bytes"):
         variation_norm_ratio(pair, range(n + 1), 2.0)
-    assert (whole, folded) == (1638400, 1146880)
+    assert (whole, folded) == (2752512, 1708032)
 
 
 def test_noise_binomial_weights_sum_to_one():
@@ -714,13 +781,14 @@ def test_result_above_physical_memory_raises(monkeypatch):
     n = 8
     rng = np.random.default_rng(16)
     cases = [
-        (rand_fn(n, rng), n + 1, 2),                                      # per-row route
-        (random_halfspectrum_function(n, rng), n + 1 + n // 2 + 1, 1),    # projection route
+        # the terms are the result: `_check_memory`'s estimate on the whole cube
+        (rand_fn(n, rng), _estimate(n, n + 1, range(n + 1), 1 << n, np.complex128, "physical")),
+        # the result with the level projections it is formed from, f once,
+        # the popcounts and ENGINE_SLACK
+        (random_halfspectrum_function(n, rng),
+         (n + 1 + n // 2 + 1 + 1) * (1 << n) * 16 + (1 << n) + operators.ENGINE_SLACK),
     ]
-    for f, count, copies in cases:
-        # the result with the level projections it is formed from, f with a
-        # physical f's spectrum copy, and the popcounts
-        need = (count + copies) * (1 << n) * 16 + (1 << n)
+    for f, need in cases:
         monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need - 1)
         with pytest.raises(MemoryError, match=f"{need} bytes, more than the {need - 1} bytes"):
             spherical_mean_stack(f, range(n + 1))
