@@ -308,11 +308,13 @@ CHECKS = {measure.__name__: (measure, within, tol) for measure, within, tol in (
 
 def battery_bytes(n: int) -> int:
     """An upper bound on the bytes the battery holds at once at dimension n,
-    as `cubevar verify` sizes it: 8 complex values a point, the 120 B of
-    `semigroup_max_violation` (f, g, N_t f, N_t g, the conjugate of N_t g and
-    its product with f; the constant input, N_t of it and a positive input
-    at 8 B) with the popcounts; one `fwht` scratch array; and 4 MiB for what
-    does not grow with n (3.2 MB traced in a fresh process at 200 trials)."""
+    as `cubevar verify` sizes it: 8 complex values a point, above the 105 B
+    of `semigroup_max_violation` (f, g and N_t f at 16 B, the positive
+    input, the constant input and N_t of it at 8 B, beside a new complex
+    draw or N_t of a complex input, each 32 B at its peak, and the
+    popcounts; 106 B traced at n = 18); one `fwht` scratch array; and
+    4 MiB for what does not grow with n (3.2 MB traced in a fresh process
+    at 200 trials)."""
     return 8 * 16 * (1 << n) + 8 * core.FWHT_SCRATCH + (4 << 20)
 
 

@@ -64,10 +64,11 @@ def spherical_mean_direct(f: CubeFunction, k: int, method: str = "auto") -> Cube
 
 
 #: Bytes the engine holds beside its terms, inputs and `fwht` scratch that
-#: do not grow with n: numpy's ufunc buffers of 8192 values an operand,
-#: taken when a real row multiplies complex values or a broadcast row is
-#: short (up to 384 KiB), a `CHUNK` of the level count (10 B a point) and
-#: small objects.
+#: do not grow with n: its `CHUNK`-wide temporaries (the level count's
+#: 10 B a point; a fold's level mask, or its gain row with the intp index
+#: `np.take` makes of the popcounts and one part's product), numpy's ufunc
+#: buffers of 8192 values an operand, taken when a real row multiplies
+#: complex values or a broadcast row is short, and small objects.
 ENGINE_SLACK = 1 << 19
 
 
@@ -77,16 +78,13 @@ def _check_memory(n: int, m: int, levels, points: int, dtype, side: str) -> int:
     an f with `dtype` values on `side` and non-zero Walsh `levels` would
     exceed `PHYSICAL_MEMORY`: its (min(levels, m), points) terms, f, the
     spectrum copy of a physical f, the popcounts (1 B a point), the `fwht`
-    scratch of one term, what its route holds beside the terms on each
-    point, and `ENGINE_SLACK`.  The level projections hold a level mask
-    (1 B); a per-row term holds its gain row and the intp index `np.take`
-    makes of the popcounts (16 B), and on a sub-cube the product of one
-    part (`upper`).  Returns the estimate."""
+    scratch of one term and `ENGINE_SLACK`.  The same on every route and
+    fold: the terms are folded a `CHUNK` at a time, so nothing else grows
+    with the points.  Returns the estimate."""
     size, item = 1 << n, np.dtype(dtype).itemsize
     count, copies = min(len(levels), m), 2 if side == PHYSICAL else 1
-    work = 1 if count < m else 16 + item * (points < size)
     scratch = min(points * item, 8 * core.FWHT_SCRATCH)
-    need = (count * points + copies * size) * item + size + work * points + scratch + ENGINE_SLACK
+    need = (count * points + copies * size) * item + size + scratch + ENGINE_SLACK
     _check_bytes(need, f"{count} x {points} values and f")
     return need
 
@@ -185,12 +183,15 @@ def _radial_terms(f: CubeFunction, rows, points=None, most: int = MAX_FOLD_BITS)
     points: for x = c 2^{n-b} + x' and v split into the parts v(y_hi, .) of
     its top b bits,
     (H_{2^n} v)(x) = (H_{2^{n-b}} sum_{y_hi} (-1)^{|c & y_hi|} v(y_hi, .))(x'),
-    and the spectral point (y_hi, y') has level |y_hi| + |y'|.  Every
-    sub-cube refills the same terms buffer, valid until the next is asked
-    for; with b = 0, or b = 1 on the half cube, there is one.  No reference
-    to f or its spectrum is kept once the last terms are made.  When the
-    estimate of `_check_memory` exceeds `PHYSICAL_MEMORY` at every b,
-    MemoryError is raised before the terms are allocated.
+    and the spectral point (y_hi, y') has level |y_hi| + |y'|.  The sums
+    are formed a `CHUNK` of points at a time (`_fold_projections`,
+    `_fold_rows`), so no temporary of theirs grows with the points, and
+    each row is transformed once its last chunk is in.  Every sub-cube
+    refills the same terms buffer, valid until the next is asked for; with
+    b = 0, or b = 1 on the half cube, there is one.  No reference to f or
+    its spectrum is kept once the last terms are made.  When the estimate
+    of `_check_memory` exceeds `PHYSICAL_MEMORY` at every b, MemoryError is
+    raised before the terms are allocated.
     """
     n = f.n
     rows = np.asarray(rows, dtype=np.float64)
@@ -228,24 +229,29 @@ def _radial_terms(f: CubeFunction, rows, points=None, most: int = MAX_FOLD_BITS)
         coef, terms = rows[:, levels], np.zeros((len(levels), sub), dtype=parts[0].dtype)
     else:
         coef, terms = None, np.empty((len(rows), sub), dtype=parts[0].dtype)
-        upper = np.empty_like(parts[0]) if bits else None
     for c in range(cubes):
-        if project:
-            _fold_projections(terms, parts, by_level, pc, levels, c)
-        else:
-            _fold_rows(terms, parts, by_level, pc, rows, c, upper)
+        for s in range(0, sub, CHUNK):
+            at = slice(s, s + CHUNK)
+            cut = [part[at] for part in parts]
+            if project:
+                _fold_projections(terms[:, at], cut, by_level, pc[at], levels, c, n - bits)
+            else:
+                _fold_rows(terms[:, at], cut, by_level, pc[at], rows, c)
+        del cut          # views of the parts: the spectrum lives as long as they do
         if c == cubes - 1:
             parts.clear()
+        for t in terms:          # a row is whole only after its last chunk
+            fwht(t)
         yield coef, terms
 
 
-def _fold_projections(proj, parts, by_level, pc, levels, cube: int) -> None:
-    """Row i of `proj`: the inverse transform of level levels[i] of the
-    spectrum (`parts`, split as in `_radial_terms`) on sub-cube `cube`, each
-    part added at the points of `pc` whose level makes up levels[i] with
-    its own, with its sign (-1)^{|cube & h|}; the first at a point is a copy
-    (a negated one for sign -1) and every later one an add or subtract."""
-    top = len(pc).bit_length() - 1
+def _fold_projections(proj, parts, by_level, pc, levels, cube: int, top: int) -> None:
+    """Row i of `proj`: level levels[i] of the spectrum (`parts`, split as in
+    `_radial_terms`) folded onto sub-cube `cube`, before its inverse
+    transform: each part added at the points of `pc` whose level (at most
+    `top`, the sub-cube's top level) makes up levels[i] with its own, with
+    its sign (-1)^{|cube & h|}; the first at a point is a copy (a negated
+    one for sign -1) and every later one an add or subtract."""
     for p, w in zip(proj, levels):
         if cube:
             p.fill(0)
@@ -262,15 +268,13 @@ def _fold_projections(proj, parts, by_level, pc, levels, cube: int) -> None:
                         np.copyto(p, parts[h], where=mask)
                 else:
                     (np.subtract if odd else np.add)(p, parts[h], out=p, where=mask)
-            del mask         # freed before the transform's scratch is taken
-        fwht(p)
 
 
-def _fold_rows(out, parts, by_level, pc, rows, cube: int, upper) -> None:
-    """Row i of `out`: the inverse transform of rows[i] applied to the
-    spectrum (`parts`, split as in `_radial_terms`) on sub-cube `cube`, each
-    part multiplied by the row at its points' full levels and added with
-    its sign (-1)^{|cube & h|}, through `upper`."""
+def _fold_rows(out, parts, by_level, pc, rows, cube: int) -> None:
+    """Row i of `out`: rows[i] applied to the spectrum (`parts`, split as in
+    `_radial_terms`) folded onto sub-cube `cube`, before its inverse
+    transform: each part multiplied by the row at its points' full levels
+    and added with its sign (-1)^{|cube & h|}."""
     for o, row in zip(out, rows):
         for j, group in enumerate(by_level):
             gain = np.take(row[j:], pc)    # take: row[pc] is 2x slower on uint8
@@ -279,10 +283,7 @@ def _fold_rows(out, parts, by_level, pc, rows, cube: int, upper) -> None:
                     np.multiply(parts[h], gain, out=o)
                 else:
                     odd = (cube & h).bit_count() & 1
-                    np.multiply(parts[h], gain, out=upper)
-                    (np.subtract if odd else np.add)(o, upper, out=o)
-            del gain         # freed before the transform's scratch is taken
-        fwht(o)
+                    (np.subtract if odd else np.add)(o, parts[h] * gain, out=o)
 
 
 def _product(coef, terms, out=None):

@@ -377,7 +377,7 @@ def test_preflight_counts_the_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 9 * 2**12 * 16)
     code = main(["half-spectrum", "--n", "16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
     assert code == 2
-    assert "9 x 4096 values and f need 2297856 bytes, more than the 589824 bytes" in capsys.readouterr().err
+    assert "9 x 4096 values and f need 2293760 bytes, more than the 589824 bytes" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -388,12 +388,12 @@ def test_half_spectrum_refusal_draws_nothing(tmp_path, capsys, monkeypatch):
         raise AssertionError("drew an input")
 
     need = halfspectrum_bytes(16, [2.0])
-    assert need == 14909440
+    assert need == 14876672
     monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 9 * 2**12 * 16)
     monkeypatch.setattr(experiments, "random_halfspectrum_function", draw)
     code = main(["half-spectrum", "--n", "16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
     assert code == 2
-    assert "2297856 bytes, more than the 589824 bytes" in capsys.readouterr().err
+    assert "2293760 bytes, more than the 589824 bytes" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
     # a budget equal to the command's estimate lets the same command reach the draw
     monkeypatch.setattr(operators, "PHYSICAL_MEMORY", need)
@@ -407,12 +407,12 @@ def test_half_spectrum_checks_every_n_before_any_draw(tmp_path, capsys, monkeypa
     # draws for n = 6, and writes no report
     calls = []
     draw = experiments.random_halfspectrum_function
-    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 14909439)
+    monkeypatch.setattr(operators, "PHYSICAL_MEMORY", 14876671)
     monkeypatch.setattr(experiments, "random_halfspectrum_function",
                         lambda n, rng: calls.append(n) or draw(n, rng))
     code = main(["half-spectrum", "--n", "6,16", "--r", "2", "--trials", "1", "--out", str(tmp_path)])
     assert code == 2
-    assert ("a half-spectrum draw at n=16 need 14909440 bytes, more than the 14909439 bytes"
+    assert ("a half-spectrum draw at n=16 need 14876672 bytes, more than the 14876671 bytes"
             in capsys.readouterr().err)
     assert not calls and not list(tmp_path.iterdir())
     # n = 6 alone runs under the same budget

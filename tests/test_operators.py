@@ -253,14 +253,12 @@ def test_folded_blocks_match_first_half(n, monkeypatch):
 
 
 def _estimate(n, m, levels, points, dtype, side):
-    """The bytes `_check_memory` counts: the terms on `points` points, f with
-    a physical f's spectrum copy, the popcounts, a level mask (projections)
-    or a gain row with its index and, folded, one part's product (per-row)
-    on each point, one `fwht` scratch and `ENGINE_SLACK`."""
+    """The bytes `_check_memory` counts on every route and fold: the terms on
+    `points` points, f with a physical f's spectrum copy, the popcounts,
+    one `fwht` scratch and `ENGINE_SLACK`."""
     size, item = 1 << n, np.dtype(dtype).itemsize
     count, copies = min(len(levels), m), 2 if side == "physical" else 1
-    work = 1 if count < m else 16 + item * (points < size)
-    return ((count * points + copies * size) * item + size + work * points
+    return ((count * points + copies * size) * item + size
             + min(points * item, 8 * core.FWHT_SCRATCH) + operators.ENGINE_SLACK)
 
 
@@ -369,12 +367,16 @@ def _engine_input(n, route, side, dtype):
     return CubeFunction(n, values * (1 - 2j) if dtype == "complex" else values, side)
 
 
-@pytest.mark.parametrize("n", [14, 16])
-@pytest.mark.parametrize("route, side, dtype", [
+#: Every route, side and dtype of the engine, as `_engine_input` makes them.
+ENGINE_CASES = [
     ("signed character", "physical", "real"), ("signed character", "physical", "complex"),
     *((route, side, dtype) for route in ("level projections", "per-row")
       for side in ("physical", SPECTRAL) for dtype in ("real", "complex")),
-])
+]
+
+
+@pytest.mark.parametrize("n", [14, 16])
+@pytest.mark.parametrize("route, side, dtype", ENGINE_CASES)
 def test_engine_peak_within_its_estimate(n, route, side, dtype, monkeypatch):
     # the traced peak of an engine call, plus f and the popcounts it reads,
     # is at most the largest estimate the call made and passed, and at
@@ -414,6 +416,36 @@ def test_engine_peak_within_its_estimate(n, route, side, dtype, monkeypatch):
         assert peak <= need, label
         if n == 16:
             assert need <= 2 * peak, label
+
+
+@pytest.mark.parametrize("route, side, dtype", ENGINE_CASES)
+def test_chunk_boundaries_keep_every_bit(route, side, dtype, monkeypatch):
+    # the engine folds its terms a CHUNK of points at a time; with chunks of
+    # 2^5 points at n = 10 every sub-cube spans 8 to 32 of them, and the
+    # whole result (n + 1 rows, and one row) and the tiles streamed on the
+    # whole or the half cube at each fold b <= 2 keep the bytes of the
+    # default chunks, under which each of these calls folds in one chunk
+    n = 10
+    f = _engine_input(n, route, side, dtype)
+    rows, size = build_table(n).float, 1 << n
+    folds = [(points, bits) for points in (size, size >> 1) for bits in range(int(points < size), 3)]
+    budgets = [None if route == "signed character" else _fold_budget(f, rows, points, bits, monkeypatch)
+               for points, bits in folds]
+
+    def results():
+        out = [apply_radial_multipliers(f, rows), apply_radial_multipliers(f, rows[3:4])]
+        for (points, bits), budget in zip(folds, budgets):
+            monkeypatch.setattr(operators, "PHYSICAL_MEMORY", budget)
+            if budget is not None:
+                assert [t.shape[1] for _, t in operators._radial_terms(f, rows, points)] == \
+                    [size >> bits] * (points >> (n - bits))
+            out.append(np.hstack([b.copy() for b in operators._radial_multiplier_blocks(f, rows, points)]))
+        monkeypatch.setattr(operators, "PHYSICAL_MEMORY", None)
+        return [r.tobytes() for r in out]
+
+    default = results()
+    monkeypatch.setattr(operators, "CHUNK", 1 << 5)
+    assert results() == default
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -717,7 +749,7 @@ def test_single_level_result_above_physical_memory_raises(monkeypatch):
         spherical_mean_stack(pair, range(n + 1))
     with pytest.raises(MemoryError, match=f"need {folded} bytes, more than the {1 << 20} bytes"):
         variation_norm_ratio(pair, range(n + 1), 2.0)
-    assert (whole, folded) == (2752512, 1708032)
+    assert (whole, folded) == (2686976, 1703936)
 
 
 def test_noise_binomial_weights_sum_to_one():
